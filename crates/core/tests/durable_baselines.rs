@@ -3,7 +3,7 @@
 //! complete baseline at the final path, never a torn file, and the
 //! store directory must not accumulate temp files.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use provgraph::PropertyGraph;
@@ -47,9 +47,10 @@ fn torn_accept_is_never_observable_at_the_final_path() {
     store.accept("cell", &small).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
+    let progress = Arc::new(AtomicU32::new(0));
     let writer = {
         let store = store.clone();
-        let stop = Arc::clone(&stop);
+        let (stop, progress) = (Arc::clone(&stop), Arc::clone(&progress));
         let (small, big) = (small.clone(), big.clone());
         std::thread::spawn(move || {
             let mut flips = 0u32;
@@ -65,13 +66,18 @@ fn torn_accept_is_never_observable_at_the_final_path() {
                     )
                     .unwrap();
                 flips += 1;
+                progress.store(flips, Ordering::Relaxed);
             }
             flips
         })
     };
 
+    // Read at least 300 times, and until the writer has replaced the
+    // baseline a few times, however the two threads are scheduled.
     let expected = [small.node_count(), big.node_count()];
-    for _ in 0..300 {
+    let mut reads = 0;
+    while reads < 300 || (progress.load(Ordering::Relaxed) < 4 && !writer.is_finished()) {
+        reads += 1;
         let loaded = store
             .load("cell")
             .expect("a racing reader must never see a torn or missing baseline")
@@ -84,7 +90,7 @@ fn torn_accept_is_never_observable_at_the_final_path() {
     }
     stop.store(true, Ordering::Relaxed);
     let flips = writer.join().expect("writer thread");
-    assert!(flips > 0, "the writer must actually have raced the reader");
+    assert!(flips >= 4, "the writer must actually have raced the reader");
 
     // The atomic-rename protocol must clean up after itself: nothing in
     // the store directory but the final baseline.

@@ -124,7 +124,9 @@ impl Policy {
                 "sharded_matrix",
                 "proptest_formats",
             ]),
-            clock_exempt_crates: owned(&["provtrace", "minibench"]),
+            // The timing layers: the tracer, the bench shim and the
+            // end-to-end benchmark, whose clock reads are its output.
+            clock_exempt_crates: owned(&["provtrace", "minibench", "e2ebench"]),
             disabled_rules: Vec::new(),
         }
     }
@@ -248,6 +250,7 @@ pub fn crate_of(rel_path: &str) -> String {
             Some(dir) => dir.to_owned(),
             None => "provmark_suite".to_owned(),
         },
+        Some("e2ebench") => "e2ebench".to_owned(),
         _ => "provmark_suite".to_owned(),
     }
 }
@@ -281,6 +284,7 @@ mod tests {
         assert!(p.panic_strict("provmark_core"));
         assert!(!p.panic_strict("opus"));
         assert!(p.clock_exempt("minibench"));
+        assert!(p.clock_exempt("e2ebench"));
         assert!(!p.clock_exempt("provshard"));
         assert!(p.write_sanctioned("crates/provtrace/src/lib.rs"));
         assert!(!p.write_sanctioned("crates/opus/src/neo4jsim.rs"));
@@ -297,6 +301,7 @@ mod tests {
         assert_eq!(crate_of("crates/provgraph/src/graph.rs"), "provgraph");
         assert_eq!(crate_of("src/lib.rs"), "provmark_suite");
         assert_eq!(crate_of("tests/table2_matrix.rs"), "provmark_suite");
+        assert_eq!(crate_of("e2ebench/src/workloads.rs"), "e2ebench");
     }
 
     #[test]

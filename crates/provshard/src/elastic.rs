@@ -25,8 +25,10 @@
 //!   claim race between any number of workers has exactly one winner;
 //!   the losers see `NotFound` and move on.
 //! * **Heartbeat** files carry pid + worker index; only their *mtime*
-//!   matters to the supervisor. A heartbeat older than `stale_after`
-//!   declares the claim dead.
+//!   matters to the supervisor. The claim writes the first one and a
+//!   thread refreshes it until the cell ends. A claim whose heartbeat —
+//!   or, before the first beat lands, whose first sighting by the
+//!   supervisor — is older than `stale_after` is declared dead.
 //! * **Epoch** starts at 1 and is part of every file name. When the
 //!   supervisor re-dispatches a cell it writes a fresh task file at
 //!   epoch *e+1*; a zombie worker finishing the old claim publishes to
@@ -35,7 +37,9 @@
 //! * **Publish** is write-to-temp-then-`rename` ([`atomic_write`]), so
 //!   the done directory only ever holds complete documents — unless a
 //!   fault-injection deliberately tears one, which the harvest then
-//!   treats as a failed attempt.
+//!   treats as a failed attempt. Results are also fsynced; task and
+//!   heartbeat files are atomic but not fsynced, since nothing reads
+//!   them once the run is over.
 //!
 //! Because each cell reuses the exact single-process measurement path
 //! ([`run_matrix_cell_traced`]), the merged report is
@@ -69,7 +73,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use provmark_core::pipeline::{
@@ -384,12 +388,18 @@ impl TaskStore {
         }
         std::fs::remove_file(store.stop_file()).ok();
         for task in tasks {
-            atomic_write(
-                &store.tasks().join(task.file_name()),
-                &task.to_json_string(),
-            )?;
+            store.write_task(task)?;
         }
         Ok(store)
+    }
+
+    /// Write a claimable task file. Atomic, so a worker never claims a
+    /// torn task, but not fsynced: a task is only read by this run's
+    /// workers, and a crash of the machine ends the run with them.
+    fn write_task(&self, task: &CellTask) -> Result<(), PipelineError> {
+        let path = self.tasks().join(task.file_name());
+        provtrace::write_bytes_atomic(&path, task.to_json_string().as_bytes())?;
+        Ok(())
     }
 
     /// Open an existing run directory (the worker side of
@@ -414,11 +424,8 @@ impl TaskStore {
 
     /// Try to claim the task file `file_name` by atomically renaming it
     /// into `claimed/`. Exactly one concurrent claimant wins; everyone
-    /// else observes `Ok(None)`.
-    ///
-    /// On success the claimed file's mtime is refreshed to claim time
-    /// (it otherwise keeps its plan-time stamp, which would look
-    /// instantly stale) and the first heartbeat is written.
+    /// else observes `Ok(None)`. On success the first heartbeat is
+    /// written.
     ///
     /// # Errors
     ///
@@ -435,13 +442,7 @@ impl TaskStore {
             Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         }
-        let text = std::fs::read_to_string(&claimed)?;
-        // Re-write the claimed file with its own content: `rename`
-        // preserves the plan-time mtime, and the supervisor uses the
-        // claimed file's mtime as the heartbeat fallback.
-        // provlint: allow(raw-write) -- mtime-touch of a file this worker exclusively owns; a torn body is re-read from `text`, never from disk
-        std::fs::write(&claimed, &text)?;
-        let task = CellTask::from_json_str(&text)?;
+        let task = CellTask::from_json_str(&std::fs::read_to_string(&claimed)?)?;
         self.write_heartbeat(&task, worker)?;
         Ok(Some(task))
     }
@@ -470,7 +471,8 @@ impl TaskStore {
     }
 
     /// Refresh the heartbeat for a claim. The supervisor only reads the
-    /// file's mtime; the body (pid + worker index) is for operators.
+    /// file's mtime; the body (pid + worker index) is for operators. Not
+    /// fsynced: a beat lost to a crash only makes the claim look older.
     ///
     /// # Errors
     ///
@@ -483,20 +485,18 @@ impl TaskStore {
         doc.insert("epoch".into(), crate::exact_num(task.epoch.into()));
         // provlint: allow(panic-in-lib) -- serialization only fails on non-finite floats; every number here passed exact_num
         let text = serde_json::to_string_pretty(&Value::Object(doc)).expect("heartbeat serializes");
-        atomic_write(&self.heartbeats().join(task.file_name()), &text)?;
+        provtrace::write_bytes_atomic(&self.heartbeats().join(task.file_name()), text.as_bytes())?;
         Ok(())
     }
 
-    /// Age of the freshest liveness signal for a claim: the heartbeat
-    /// file's mtime, falling back to the claimed file's mtime (bumped
-    /// at claim time). `None` when neither file exists.
+    /// Age of a claim's heartbeat file; `None` while it has none. The
+    /// claimed file's mtime is no liveness signal: `rename` keeps the
+    /// stamp of the plan or re-dispatch that wrote the task. An mtime
+    /// ahead of the system clock counts as a fresh beat.
     pub fn heartbeat_age(&self, id: &str, epoch: u32) -> Option<Duration> {
-        let name = format!("{id}.e{epoch}.json");
-        [self.heartbeats().join(&name), self.claimed().join(&name)]
-            .iter()
-            .filter_map(|p| std::fs::metadata(p).and_then(|m| m.modified()).ok())
-            .filter_map(|mtime| mtime.elapsed().ok())
-            .min()
+        let path = self.heartbeats().join(format!("{id}.e{epoch}.json"));
+        let mtime = std::fs::metadata(path).and_then(|m| m.modified()).ok()?;
+        Some(mtime.elapsed().unwrap_or(Duration::ZERO))
     }
 
     /// Atomically publish a cell result to `done/` — the only way an
@@ -582,8 +582,7 @@ impl TaskStore {
     ///
     /// [`PipelineError::Store`] on I/O failure.
     pub fn requeue(&self, task: &CellTask) -> Result<(), PipelineError> {
-        atomic_write(&self.tasks().join(task.file_name()), &task.to_json_string())?;
-        Ok(())
+        self.write_task(task)
     }
 
     /// Raise the stop sentinel: workers exit cleanly at their next poll.
@@ -776,9 +775,10 @@ impl ElasticOptions {
     /// A 300 ms staleness threshold plus a 50 ms retry backoff keeps
     /// recovery proportionate; the heartbeat interval is left at its
     /// default and clamped to `stale_after / 4` = 75 ms by the driver.
-    /// False stale declarations are benign (the claim protocol tolerates
-    /// double execution; first `finish` rename wins), so the shorter
-    /// threshold trades only redundant work, not correctness.
+    /// A claim ages from its last heartbeat or from the supervisor's first
+    /// sight of it, whichever is younger, so a live worker looks stale
+    /// only if it misses every beat for `stale_after`; even then the
+    /// superseded publish is rejected and the report is unchanged.
     pub fn quick() -> Self {
         ElasticOptions {
             stale_after: Duration::from_millis(300),
@@ -923,19 +923,24 @@ pub fn worker_loop(store: &TaskStore, ctx: &WorkerContext) -> Result<WorkerEnd, 
             None
         };
         let counters_before = MemoCounters::of(&memo);
-        let heartbeat_done = AtomicBool::new(false);
+        // The claim wrote the first heartbeat; refresh it every interval
+        // until the cell ends. Dropping `cell_done` (also on unwind) wakes
+        // the heartbeat thread at once, so no cell waits out an interval.
+        let (cell_done, beat_timer) = mpsc::channel::<()>();
         let cell = std::thread::scope(|scope| {
             if !stalling {
-                scope.spawn(|| {
-                    while !heartbeat_done.load(Ordering::Relaxed) {
-                        store.write_heartbeat(&task, ctx.index).ok();
+                let (task, tracer) = (&task, &tracer);
+                scope.spawn(move || {
+                    while let Err(RecvTimeoutError::Timeout) =
+                        beat_timer.recv_timeout(ctx.heartbeat_interval)
+                    {
+                        store.write_heartbeat(task, ctx.index).ok();
                         tracer.event("heartbeat", claim_span, || {
                             vec![
                                 ("cell", provtrace::Field::from(task.id())),
                                 ("epoch", provtrace::Field::from(task.epoch)),
                             ]
                         });
-                        std::thread::sleep(ctx.heartbeat_interval);
                     }
                 });
             }
@@ -948,7 +953,7 @@ pub fn worker_loop(store: &TaskStore, ctx: &WorkerContext) -> Result<WorkerEnd, 
                 &tracer,
                 claim_span,
             );
-            heartbeat_done.store(true, Ordering::Relaxed);
+            drop(cell_done);
             cell
         })?;
         let result = CellResult {
@@ -1356,6 +1361,25 @@ struct Slot {
     state: SlotState,
 }
 
+/// The supervisor's liveness clock. A claim's age is the younger of its
+/// heartbeat's age and the time since the supervisor first saw the claim,
+/// so a claim caught between its rename and its first heartbeat is
+/// never older than the scan that found it.
+#[derive(Default)]
+struct ClaimClock {
+    first_seen: BTreeMap<(String, u32), Instant>,
+}
+
+impl ClaimClock {
+    fn age(&mut self, store: &TaskStore, id: &str, epoch: u32, now: Instant) -> Duration {
+        let seen = *self.first_seen.entry((id.to_owned(), epoch)).or_insert(now);
+        let since_seen = now.saturating_duration_since(seen);
+        store
+            .heartbeat_age(id, epoch)
+            .map_or(since_seen, |beat| beat.min(since_seen))
+    }
+}
+
 /// The supervisor loop: harvest published results, watch heartbeats,
 /// re-dispatch dead claims under bumped epochs with bounded retries
 /// and backoff, respawn the pool if it collapses, and merge.
@@ -1399,6 +1423,7 @@ fn supervise(
     // already-accepted (or already-rejected) publish would be re-counted
     // on every later iteration.
     let mut harvested: BTreeSet<(String, u32)> = BTreeSet::new();
+    let mut claim_clock = ClaimClock::default();
     for index in 0..worker_count {
         pool.spawn(index)?;
         workers_spawned += 1;
@@ -1516,6 +1541,8 @@ fn supervise(
 
         // Staleness: an open, claimed, unpublished cell whose heartbeat
         // is too old has lost its worker.
+        // provlint: allow(direct-clock) -- liveness/backoff scheduling only; report bytes are time-free
+        let now = Instant::now();
         let mut stale: Vec<(String, String)> = Vec::new();
         for (id, slot) in &slots {
             if !matches!(slot.state, SlotState::Open)
@@ -1525,23 +1552,16 @@ fn supervise(
             {
                 continue;
             }
-            match store.heartbeat_age(id, slot.task.epoch) {
-                Some(age) if age > opts.stale_after => stale.push((
+            let age = claim_clock.age(store, id, slot.task.epoch, now);
+            if age > opts.stale_after {
+                stale.push((
                     id.clone(),
                     format!(
                         "heartbeat went stale at epoch {} ({}ms without a beat)",
                         slot.task.epoch,
                         age.as_millis()
                     ),
-                )),
-                Some(_) => {}
-                None => stale.push((
-                    id.clone(),
-                    format!(
-                        "claim at epoch {} vanished without a heartbeat",
-                        slot.task.epoch
-                    ),
-                )),
+                ));
             }
         }
         for (id, detail) in stale {
@@ -1563,8 +1583,6 @@ fn supervise(
         }
 
         // Re-dispatch cells whose backoff has elapsed.
-        // provlint: allow(direct-clock) -- liveness/backoff scheduling only; report bytes are time-free
-        let now = Instant::now();
         let due: Vec<String> = pending
             .iter()
             .filter(|(_, at)| **at <= now)
@@ -1844,4 +1862,86 @@ fn merge_after_drive(
         outcome.cache_merge = Some(merge);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::SystemTime;
+
+    fn store_with_one_task(tag: &str) -> (TaskStore, CellTask, PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("provmark-claim-clock-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let task = CellTask {
+            syscall: "creat".into(),
+            tool: 0,
+            epoch: 1,
+            config: RunConfig::quick(),
+        };
+        let store = TaskStore::init(&dir, std::slice::from_ref(&task)).unwrap();
+        (store, task, dir)
+    }
+
+    fn set_mtime(path: &Path, mtime: SystemTime) {
+        std::fs::File::options()
+            .write(true)
+            .open(path)
+            .unwrap()
+            .set_modified(mtime)
+            .unwrap();
+    }
+
+    /// The state a scan can catch mid-claim: the task is renamed into
+    /// `claimed/` with its hour-old plan-time mtime, and no heartbeat
+    /// exists yet. It must read as a brand-new claim, not an hour-old one.
+    #[test]
+    fn claim_without_a_heartbeat_ages_from_first_sight() {
+        let (store, task, dir) = store_with_one_task("window");
+        let hour_ago = SystemTime::now() - Duration::from_secs(3600);
+        set_mtime(&store.tasks().join(task.file_name()), hour_ago);
+        std::fs::rename(
+            store.tasks().join(task.file_name()),
+            store.claimed().join(task.file_name()),
+        )
+        .unwrap();
+        assert_eq!(store.heartbeat_age(&task.id(), 1), None);
+
+        let mut clock = ClaimClock::default();
+        let seen = Instant::now();
+        assert_eq!(clock.age(&store, &task.id(), 1, seen), Duration::ZERO);
+        // A claim that never beats still goes stale, counted from sight.
+        let stale_after = Duration::from_millis(300);
+        assert_eq!(
+            clock.age(&store, &task.id(), 1, seen + stale_after * 2),
+            stale_after * 2
+        );
+        // A re-dispatch is a new claim with its own first sighting.
+        assert_eq!(
+            clock.age(&store, &task.id(), 2, seen + stale_after * 2),
+            Duration::ZERO
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn heartbeat_bounds_the_age_of_a_long_watched_claim() {
+        let (store, task, dir) = store_with_one_task("beat");
+        let claimed = store.try_claim(&task.file_name(), 0).unwrap().unwrap();
+        let mut clock = ClaimClock::default();
+        let seen = Instant::now();
+        clock.age(&store, &claimed.id(), 1, seen);
+        let later = clock.age(&store, &claimed.id(), 1, seen + Duration::from_secs(3600));
+        assert!(
+            later < Duration::from_secs(60),
+            "fresh heartbeat wins: {later:?}"
+        );
+
+        // An mtime ahead of the system clock is a fresh beat, not a
+        // missing one.
+        let beat = store.heartbeats().join(claimed.file_name());
+        set_mtime(&beat, SystemTime::now() + Duration::from_secs(3600));
+        assert_eq!(store.heartbeat_age(&claimed.id(), 1), Some(Duration::ZERO));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -1,15 +1,17 @@
 //! Unit-level tests of the elastic claim protocol: claim races have
 //! exactly one winner, artifact writes are atomic, torn results are
-//! rejected as typed errors at every truncation length, and the
-//! fault-injection spec parses round-trip.
+//! rejected as typed errors at every truncation length, the
+//! fault-injection spec parses round-trip, and a finished cell never
+//! waits out its heartbeat interval.
 
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use provmark_core::pipeline::CellOutcome;
 use provmark_core::PipelineError;
 use provshard::elastic::{
-    plan_cells, CellResult, CellTask, InjectSpec, MemoCounters, TaskStore, CELL_RESULT_VERSION,
-    CELL_TASK_VERSION,
+    plan_cells, worker_loop, CellResult, CellTask, InjectSpec, MemoCounters, TaskStore,
+    WorkerContext, WorkerEnd, CELL_RESULT_VERSION, CELL_TASK_VERSION,
 };
 use provshard::{atomic_write, RunConfig};
 
@@ -327,4 +329,47 @@ fn cell_artifact_version_skew_rejected() {
             if detail.contains(&format!("version {}", CELL_RESULT_VERSION + 1))),
         "{err}"
     );
+}
+
+#[test]
+fn finished_cell_wakes_its_heartbeat_instead_of_sleeping_out_the_interval() {
+    // The heartbeat thread used to sleep a whole interval and be joined
+    // when the cell ended, so every cell cost at least one interval. With
+    // a 30 s interval, one tiny cell must publish long before it.
+    let dir = temp_dir("wake");
+    let task = CellTask {
+        syscall: "creat".into(),
+        tool: 0,
+        epoch: 1,
+        config: RunConfig::quick(),
+    };
+    let store = TaskStore::init(&dir, std::slice::from_ref(&task)).unwrap();
+    let interval = Duration::from_secs(30);
+    let ctx = WorkerContext {
+        index: 0,
+        heartbeat_interval: interval,
+        poll_interval: Duration::from_millis(5),
+        stall: Duration::ZERO,
+        inject: InjectSpec::default(),
+        solve_cache: None,
+        trace: None,
+    };
+    let started = Instant::now();
+    let end = std::thread::scope(|scope| {
+        let worker = scope.spawn(|| worker_loop(&store, &ctx));
+        while !store.done_exists(&task.id(), 1) && started.elapsed() < interval * 2 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let published = started.elapsed();
+        store.request_stop().unwrap();
+        let end = worker.join().unwrap().unwrap();
+        assert!(
+            published < interval,
+            "the cell published after {published:?}, not promptly"
+        );
+        end
+    });
+    assert_eq!(end, WorkerEnd::Stopped);
+    assert!(store.load_result(&task.id(), 1).is_ok());
+    std::fs::remove_dir_all(&dir).ok();
 }

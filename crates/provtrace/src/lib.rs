@@ -68,11 +68,11 @@ pub const TRACE_END_MAGIC: &str = "PMTRACE_END";
 pub const TRACE_VERSION: u32 = 1;
 
 // ---------------------------------------------------------------------------
-// Durable writes
+// Atomic and durable writes
 // ---------------------------------------------------------------------------
 
-/// Ever-increasing suffix so concurrent durable writes from one process
-/// never collide on a temp name.
+/// Ever-increasing suffix so concurrent writes from one process never
+/// collide on a temp name.
 static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Write `bytes` to `path` durably and atomically.
@@ -85,6 +85,19 @@ static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// solve-cache writer and `provshard`'s artifact writer both delegate
 /// here, and every trace file is written through it.
 pub fn write_bytes_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    write_via_temp(path, bytes, true)
+}
+
+/// Write `bytes` to `path` atomically but without fsync: readers see
+/// the old content or the new, never a torn file, but a machine crash
+/// may lose the write. For files that only live as long as the
+/// processes that read them, such as heartbeats and a run's plan-time
+/// task files.
+pub fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    write_via_temp(path, bytes, false)
+}
+
+fn write_via_temp(path: &Path, bytes: &[u8], durable: bool) -> io::Result<()> {
     let dir = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
         _ => PathBuf::from("."),
@@ -101,10 +114,14 @@ pub fn write_bytes_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let result = (|| {
         let mut f = File::create(&tmp)?;
         f.write_all(bytes)?;
-        f.sync_all()?;
+        if durable {
+            f.sync_all()?;
+        }
         drop(f);
         std::fs::rename(&tmp, path)?;
-        std::fs::File::open(&dir)?.sync_all()?;
+        if durable {
+            std::fs::File::open(&dir)?.sync_all()?;
+        }
         Ok(())
     })();
     if result.is_err() {
