@@ -229,15 +229,16 @@ pub fn native_texts(kind: ToolKind, spec: &BenchSpec, trials: usize) -> Vec<Stri
         .collect()
 }
 
-/// A freshly ingested OPUS store for one foreground trial (export = the
-/// transformation work to bench).
+/// A freshly ingested in-memory OPUS store for one foreground trial.
+/// Its export (simulated Neo4j startup, then parsing the committed JSON)
+/// is the transformation work to bench.
 pub fn prepare_opus_store(spec: &BenchSpec, seed: u64) -> opus::Neo4jStore {
     let recorder = opus::OpusRecorder::baseline();
     let mut prog_kernel = oskernel::Kernel::with_seed(seed);
     prog_kernel.run_program(&spec.foreground());
-    let store = opus::Neo4jStore::create_temp(OPUS_DB_ITERATIONS).expect("store creates");
+    let mut store = opus::Neo4jStore::new(OPUS_DB_ITERATIONS);
     recorder
-        .record_to_store(prog_kernel.event_log(), &store)
+        .record_to_store(prog_kernel.event_log(), &mut store)
         .expect("store ingests");
     store
 }

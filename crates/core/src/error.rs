@@ -22,7 +22,8 @@ pub enum PipelineError {
         /// Underlying format error.
         source: GraphError,
     },
-    /// Store input/output failed (OPUS's Neo4j-style backend).
+    /// Store input/output failed: OPUS's Neo4j-style store, or an
+    /// artifact or run directory on disk.
     Store(std::io::Error),
     /// No similarity class with at least two consistent trials exists —
     /// all runs were "failed runs" in the paper's sense (§3.4).

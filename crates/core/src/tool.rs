@@ -3,9 +3,9 @@
 //! Each supported capture system gets a *profile* ([`Tool`]) naming its
 //! configuration, and an instantiated handle ([`ToolInstance`]) holding any
 //! state that persists across recording sessions (the CamFlow daemon's
-//! serialize-once memory; nothing for SPADE; per-trial Neo4j stores for
-//! OPUS). Only these stages know about tool-specific formats — everything
-//! downstream works on the uniform Datalog property-graph representation.
+//! serialize-once memory; nothing for SPADE or OPUS). Only these stages
+//! know about tool-specific formats — everything downstream works on the
+//! uniform Datalog property-graph representation.
 
 use camflow::{CamFlowConfig, CamFlowRecorder};
 use opus::{Neo4jStore, OpusConfig, OpusRecorder};
@@ -181,10 +181,18 @@ enum RecorderImpl {
         /// Store startup cost.
         db_startup_iterations: u64,
     },
-    /// OPUS recorder (stateless; stores are per trial).
+    /// OPUS recorder (stateless; each trial's store travels in its
+    /// [`NativeOutput`]).
     Opus(OpusRecorder),
     /// CamFlow daemon (stateful: serialize-once memory persists).
     CamFlow(CamFlowRecorder),
+}
+
+/// The kernel boot seed of recording session `session` (1-based) for
+/// the caller's trial `seed`.
+fn boot_seed(seed: u64, session: u64) -> u64 {
+    seed.wrapping_mul(0x100000001B3)
+        .wrapping_add(session.wrapping_mul(0x9E3779B97F4A7C15))
 }
 
 /// An instantiated tool with cross-session state.
@@ -216,7 +224,7 @@ impl ToolInstance {
     /// # Errors
     ///
     /// Fails when the benchmark's target behaviour did not execute
-    /// successfully, or on store I/O errors.
+    /// successfully, or when a graph does not serialize into its store.
     pub fn record(
         &mut self,
         program: &Program,
@@ -224,10 +232,7 @@ impl ToolInstance {
         noise: bool,
     ) -> Result<NativeOutput, PipelineError> {
         self.sessions += 1;
-        let boot_seed = seed
-            .wrapping_mul(0x100000001B3)
-            .wrapping_add(self.sessions.wrapping_mul(0x9E3779B97F4A7C15));
-        let mut kernel = Kernel::with_seed(boot_seed);
+        let mut kernel = Kernel::with_seed(boot_seed(seed, self.sessions));
         kernel.startup_noise = noise && seed.is_multiple_of(5);
         let outcome = kernel.run_program(program);
         if !outcome.success {
@@ -247,13 +252,13 @@ impl ToolInstance {
                 recorder,
                 db_startup_iterations,
             } => {
-                let store = Neo4jStore::create_temp(*db_startup_iterations)?;
+                let mut store = Neo4jStore::new(*db_startup_iterations);
                 store.ingest(&recorder.record_graph(kernel.event_log()))?;
                 Ok(NativeOutput::Neo4j(Box::new(store)))
             }
             RecorderImpl::Opus(rec) => {
-                let store = Neo4jStore::create_temp(rec.config.db_startup_iterations)?;
-                rec.record_to_store(kernel.event_log(), &store)?;
+                let mut store = Neo4jStore::new(rec.config.db_startup_iterations);
+                rec.record_to_store(kernel.event_log(), &mut store)?;
                 Ok(NativeOutput::Neo4j(Box::new(store)))
             }
             RecorderImpl::CamFlow(rec) => Ok(NativeOutput::ProvJson(
@@ -270,7 +275,7 @@ impl ToolInstance {
     /// # Errors
     ///
     /// Fails on malformed native output (e.g. CamFlow's pre-workaround
-    /// dangling references) or store I/O errors.
+    /// dangling references) or a store that does not export.
     pub fn transform(&self, native: NativeOutput) -> Result<PropertyGraph, PipelineError> {
         match native {
             NativeOutput::Dot(text) => Ok(dot::parse_dot(&text)?),
@@ -310,23 +315,35 @@ mod tests {
         );
     }
 
+    /// Every Table 2 program, background then foreground.
+    fn table2_programs() -> Vec<Program> {
+        crate::suite::table2()
+            .iter()
+            .flat_map(|row| {
+                let spec = crate::suite::spec(row.syscall).expect("Table 2 row has a spec");
+                [spec.background(), spec.foreground()]
+            })
+            .collect()
+    }
+
     #[test]
     fn spade_neo4j_storage_roundtrips_same_graph_as_dot() {
         let mut spg = Tool::spade_baseline().instantiate();
         let mut spn = Tool::SpadeNeo4j {
             config: Default::default(),
-            db_startup_iterations: 50,
+            db_startup_iterations: 10, // keep unit tests fast
         }
         .instantiate();
-        let prog = creat_program();
-        let dot_native = spg.record(&prog, 1, false).unwrap();
-        let g_dot = spg.transform(dot_native).unwrap();
-        let db_native = spn.record(&prog, 1, false).unwrap();
-        let g_db = spn.transform(db_native).unwrap();
-        // Identical recorder behind both storages: same graph shape.
-        assert_eq!(g_dot.node_count(), g_db.node_count());
-        assert_eq!(g_dot.edge_count(), g_db.edge_count());
-        assert_eq!(g_dot.node_label_multiset(), g_db.node_label_multiset());
+        for (i, prog) in table2_programs().iter().enumerate() {
+            let seed = 7 + i as u64;
+            let dot_native = spg.record(prog, seed, false).unwrap();
+            let g_dot = spg.transform(dot_native).unwrap();
+            let db_native = spn.record(prog, seed, false).unwrap();
+            assert!(matches!(db_native, NativeOutput::Neo4j(_)));
+            // Identical recorder and event log behind both storages.
+            let g_db = spn.transform(db_native).unwrap();
+            assert_eq!(g_db, g_dot, "{} ({})", prog.name, prog.exe_path);
+        }
     }
 
     #[test]
@@ -340,14 +357,24 @@ mod tests {
 
     #[test]
     fn opus_record_transform_roundtrip() {
-        let mut tool = Tool::Opus(OpusConfig {
+        let config = OpusConfig {
             db_startup_iterations: 10, // keep unit tests fast
             ..OpusConfig::default()
-        })
-        .instantiate();
-        let native = tool.record(&creat_program(), 1, false).unwrap();
-        let graph = tool.transform(native).unwrap();
-        assert!(graph.node_count() > 0);
+        };
+        let recorder = OpusRecorder::new(config.clone());
+        let mut tool = Tool::Opus(config).instantiate();
+        for (i, prog) in table2_programs().iter().enumerate() {
+            let seed = 7 + i as u64;
+            let native = tool.record(prog, seed, false).unwrap();
+            assert!(matches!(native, NativeOutput::Neo4j(_)));
+            let graph = tool.transform(native).unwrap();
+            // The store round trip must not change the recorded graph.
+            let mut kernel = Kernel::with_seed(boot_seed(seed, i as u64 + 1));
+            kernel.run_program(prog);
+            let direct = recorder.record_graph(kernel.event_log());
+            assert!(direct.node_count() > 0);
+            assert_eq!(graph, direct, "{} ({})", prog.name, prog.exe_path);
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   at exec/fork time, and `fork`/`vfork` copy descriptor state (§4.2);
 //! - provenance is persisted to **Neo4j**, whose startup and query cost
 //!   dominates ProvMark's transformation stage (Figures 6 and 9) —
-//!   simulated here by the [`neo4jsim`] embedded store.
+//!   simulated here by the in-memory [`neo4jsim`] store, which charges
+//!   the startup cost on every query session.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

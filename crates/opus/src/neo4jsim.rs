@@ -1,26 +1,26 @@
-//! An embedded, disk-backed graph store standing in for Neo4j.
+//! An embedded, in-memory graph store standing in for Neo4j.
 //!
 //! The real OPUS persists provenance into a Neo4j database; ProvMark's
 //! transformation stage then runs Neo4j queries to extract the graph, and
 //! the paper attributes OPUS's outsized stage times to "database startup
 //! and access time … a one-time JVM warmup and database initialization
-//! cost" (§5.1). This module reproduces that cost *shape* honestly:
+//! cost" (§5.1). This module reproduces that cost *shape*:
 //!
-//! - graphs are serialized to JSON files on disk (real I/O per commit);
+//! - a commit serializes the graph to its native JSON form, which the
+//!   store keeps;
 //! - every query session pays a configurable warmup (real computation,
-//!   not a sleep) before data can be read back and re-parsed.
+//!   not a sleep) before the JSON is parsed back into a graph, so the
+//!   transformation stage parses native output as it does for SPADE (DOT)
+//!   and CamFlow (PROV-JSON).
 //!
-//! Absolute durations are scaled down from the paper's minutes to
-//! milliseconds; EXPERIMENTS.md records the scaling.
+//! A store lives for one trial and nothing reopens it, so it never
+//! touches the disk. Absolute durations are scaled down from the paper's
+//! minutes to milliseconds through
+//! [`OpusConfig::db_startup_iterations`](crate::OpusConfig::db_startup_iterations).
 
-use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use provgraph::PropertyGraph;
-
-static STORE_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Burn CPU deterministically; returns a checksum the compiler cannot
 /// discard. Stands in for JVM warmup + database initialization.
@@ -35,10 +35,10 @@ pub fn warmup_work(iterations: u64) -> u64 {
     acc
 }
 
-/// A disk-backed store holding one provenance graph.
+/// An in-memory store holding one provenance graph as committed JSON.
 #[derive(Debug)]
 pub struct Neo4jStore {
-    dir: PathBuf,
+    json: Option<String>,
     /// Warmup iterations paid on every [`Neo4jStore::export`].
     pub startup_iterations: u64,
     /// Checksum accumulated from warmups (observable side effect).
@@ -46,57 +46,37 @@ pub struct Neo4jStore {
 }
 
 impl Neo4jStore {
-    /// Create a fresh store in a unique subdirectory of the system temp
-    /// directory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors creating the directory.
-    pub fn create_temp(startup_iterations: u64) -> io::Result<Self> {
-        let n = STORE_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("provmark-neo4jsim-{}-{n}", std::process::id()));
-        Self::create_at(&dir, startup_iterations)
-    }
-
-    /// Create a fresh store at `dir` (wiped if it exists).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn create_at(dir: &Path, startup_iterations: u64) -> io::Result<Self> {
-        if dir.exists() {
-            fs::remove_dir_all(dir)?;
-        }
-        fs::create_dir_all(dir)?;
-        Ok(Neo4jStore {
-            dir: dir.to_path_buf(),
+    /// Create an empty store whose query sessions pay
+    /// `startup_iterations` of warmup.
+    pub fn new(startup_iterations: u64) -> Self {
+        Neo4jStore {
+            json: None,
             startup_iterations,
             warmup_checksum: 0,
-        })
+        }
     }
 
-    /// Path of the store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn data_file(&self) -> PathBuf {
-        self.dir.join("graph.json")
-    }
-
-    /// Persist a graph into the store (OPUS's commit path).
+    /// [`Neo4jStore::new`] under its former name, kept for existing
+    /// callers. Never fails.
     ///
     /// # Errors
     ///
-    /// Propagates serialization or filesystem errors.
-    pub fn ingest(&self, graph: &PropertyGraph) -> io::Result<()> {
+    /// None; the `Result` is kept for signature compatibility.
+    pub fn create_temp(startup_iterations: u64) -> io::Result<Self> {
+        Ok(Self::new(startup_iterations))
+    }
+
+    /// Commit a graph into the store (OPUS's commit path), replacing any
+    /// earlier commit.
+    ///
+    /// # Errors
+    ///
+    /// Propagates serialization errors.
+    pub fn ingest(&mut self, graph: &PropertyGraph) -> io::Result<()> {
         let json = serde_json::to_string(graph)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        // Durable + atomic: the store is the simulated database's only
-        // persistent state, and `export` must never observe a torn
-        // commit from a crashed ingest.
-        provtrace::write_bytes_durable(&self.data_file(), json.as_bytes())
+        self.json = Some(json);
+        Ok(())
     }
 
     /// Open a query session and read the graph back (ProvMark's
@@ -104,20 +84,19 @@ impl Neo4jStore {
     ///
     /// # Errors
     ///
-    /// Fails when the store is empty or the on-disk data is corrupt.
+    /// [`io::ErrorKind::NotFound`] when nothing was ingested;
+    /// [`io::ErrorKind::InvalidData`] when the committed JSON does not
+    /// parse.
     pub fn export(&mut self) -> io::Result<PropertyGraph> {
         self.warmup_checksum ^= warmup_work(self.startup_iterations);
-        let json = fs::read_to_string(self.data_file())?;
-        let mut graph: PropertyGraph = serde_json::from_str(&json)
+        let json = self
+            .json
+            .as_deref()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "store holds no graph"))?;
+        let mut graph: PropertyGraph = serde_json::from_str(json)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         graph.rebuild_indices();
         Ok(graph)
-    }
-}
-
-impl Drop for Neo4jStore {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.dir);
     }
 }
 
@@ -136,7 +115,7 @@ mod tests {
 
     #[test]
     fn ingest_export_roundtrip() {
-        let mut store = Neo4jStore::create_temp(10).unwrap();
+        let mut store = Neo4jStore::new(10);
         let g = toy();
         store.ingest(&g).unwrap();
         let g2 = store.export().unwrap();
@@ -145,7 +124,7 @@ mod tests {
 
     #[test]
     fn export_pays_warmup() {
-        let mut store = Neo4jStore::create_temp(1000).unwrap();
+        let mut store = Neo4jStore::new(1000);
         store.ingest(&toy()).unwrap();
         assert_eq!(store.warmup_checksum, 0);
         store.export().unwrap();
@@ -155,34 +134,8 @@ mod tests {
     #[test]
     fn export_without_ingest_fails() {
         let mut store = Neo4jStore::create_temp(0).unwrap();
-        assert!(store.export().is_err());
-    }
-
-    #[test]
-    fn store_dir_cleaned_on_drop() {
-        let dir;
-        {
-            let store = Neo4jStore::create_temp(0).unwrap();
-            dir = store.dir().to_path_buf();
-            store.ingest(&toy()).unwrap();
-            assert!(dir.exists());
-        }
-        assert!(!dir.exists(), "Drop must remove the store directory");
-    }
-
-    #[test]
-    fn create_at_wipes_existing() {
-        let dir = std::env::temp_dir().join(format!("provmark-neo4j-wipe-{}", std::process::id()));
-        {
-            let store = Neo4jStore::create_at(&dir, 0).unwrap();
-            store.ingest(&toy()).unwrap();
-        }
-        // Recreate over the (now dropped+deleted) path, then over existing.
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("stale"), b"x").unwrap();
-        let store = Neo4jStore::create_at(&dir, 0).unwrap();
-        assert!(!dir.join("stale").exists());
-        drop(store);
+        let err = store.export().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
     }
 
     #[test]

@@ -58,8 +58,8 @@ impl OpusRecorder {
     ///
     /// # Errors
     ///
-    /// Propagates store I/O errors.
-    pub fn record_to_store(&self, log: &EventLog, store: &Neo4jStore) -> std::io::Result<()> {
+    /// Propagates store serialization errors.
+    pub fn record_to_store(&self, log: &EventLog, store: &mut Neo4jStore) -> std::io::Result<()> {
         store.ingest(&self.record_graph(log))
     }
 }
@@ -863,8 +863,8 @@ mod tests {
         let mut kernel = Kernel::with_seed(1);
         kernel.run_program(&prog);
         let rec = OpusRecorder::baseline();
-        let mut store = Neo4jStore::create_temp(100).unwrap();
-        rec.record_to_store(kernel.event_log(), &store).unwrap();
+        let mut store = Neo4jStore::new(100);
+        rec.record_to_store(kernel.event_log(), &mut store).unwrap();
         let exported = store.export().unwrap();
         assert_eq!(exported, rec.record_graph(kernel.event_log()));
     }

@@ -37,9 +37,9 @@
 //! * **Publish** is write-to-temp-then-`rename` ([`atomic_write`]), so
 //!   the done directory only ever holds complete documents — unless a
 //!   fault-injection deliberately tears one, which the harvest then
-//!   treats as a failed attempt. Results are also fsynced; task and
-//!   heartbeat files are atomic but not fsynced, since nothing reads
-//!   them once the run is over.
+//!   treats as a failed attempt. Results are also fsynced; task,
+//!   heartbeat and stop-sentinel files are atomic but not fsynced,
+//!   since nothing reads them once the run is over.
 //!
 //! Because each cell reuses the exact single-process measurement path
 //! ([`run_matrix_cell_traced`]), the merged report is
@@ -586,12 +586,14 @@ impl TaskStore {
     }
 
     /// Raise the stop sentinel: workers exit cleanly at their next poll.
+    /// Not fsynced: only this run's workers read it, and a crash of the
+    /// machine ends the run with them.
     ///
     /// # Errors
     ///
     /// [`PipelineError::Store`] on I/O failure.
     pub fn request_stop(&self) -> Result<(), PipelineError> {
-        atomic_write(&self.stop_file(), "stop\n")?;
+        provtrace::write_bytes_atomic(&self.stop_file(), b"stop\n")?;
         Ok(())
     }
 
