@@ -53,7 +53,7 @@
 //! [`SolveCacheError`]; loading never panics on untrusted bytes and a
 //! rejected file simply leaves the memo cold. A forged *well-formed*
 //! file can of course plant wrong outcomes — the cache file carries the
-//! same trust level as every other run artifact (manifests, partials)
+//! same trust level as every other run artifact (cell tasks, results)
 //! and the same integrity checks, no more.
 
 use std::fmt;
@@ -445,7 +445,7 @@ pub fn write_cache_file(memo: &SolveMemo, path: &Path) -> Result<(), SolveCacheE
 /// The implementation lives in [`provtrace`] (the bottom of the
 /// workspace dependency graph, so trace files share the exact same
 /// publish path); this re-export keeps the long-standing `aspsolver`
-/// signature for `provshard::atomic_write` and every other caller.
+/// signature for its callers.
 pub fn write_bytes_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
     provtrace::write_bytes_durable(path, bytes)
 }

@@ -711,76 +711,6 @@ fn main() {
         }
     }
 
-    // ---- sharded matrix: plan/execute/merge vs single-process ----------
-    //
-    // Informational row (never gated): a 3-shard in-process run cannot
-    // beat the fully parallel single-process matrix on one machine — the
-    // sharding win is distribution across hosts, which this runner
-    // cannot show. What the row pins down is (a) the plan/execute/merge
-    // overhead trajectory and (b) the determinism differential: the
-    // merged report must be byte-identical to the single-process one.
-    {
-        use provmark_core::pipeline::{
-            self, merge_matrix_summaries, run_matrix_cells, summarize_rows, MatrixShard,
-        };
-        use provmark_core::report::render_matrix_report;
-        use provmark_core::BenchmarkOptions;
-
-        /// Simulated Neo4j startup scale of the quick matrix (matches
-        /// the tier-1 matrix test and the CI sharded smoke).
-        const MATRIX_OPUS_ITERS: u64 = 500;
-        const MATRIX_SHARDS: usize = 3;
-        let opts = BenchmarkOptions::default();
-        let single_report = || {
-            let rows = pipeline::run_matrix(&opts, Some(MATRIX_OPUS_ITERS));
-            let merged = merge_matrix_summaries([summarize_rows(&rows)])
-                .expect("full single-process run merges");
-            render_matrix_report(&merged)
-        };
-        let sharded_report = || {
-            let merged = pipeline::run_matrix_sharded(MATRIX_SHARDS, |shard: &MatrixShard| {
-                Ok(summarize_rows(&run_matrix_cells(
-                    &shard.syscalls,
-                    &opts,
-                    Some(MATRIX_OPUS_ITERS),
-                )?))
-            })
-            .expect("sharded run merges");
-            render_matrix_report(&merged)
-        };
-        let single = single_report();
-        let sharded = sharded_report();
-        if sharded != single {
-            eprintln!(
-                "sharded_matrix_quick: merged report DIFFERS from the single-process \
-                 report — not publishing timings"
-            );
-            disagreements += 1;
-        } else {
-            let matrix_reps = reps.min(5);
-            let single_q = measure(matrix_reps, single_report);
-            let sharded_q = measure(matrix_reps, sharded_report);
-            let ratio = speedup(single_q, sharded_q);
-            println!(
-                "\n{:<22} {:>6} {:>13.3} {:>11.3} {:>7.2}x  (informational; byte-identical)",
-                "sharded_matrix_quick",
-                MATRIX_SHARDS,
-                single_q.median * 1e3,
-                sharded_q.median * 1e3,
-                ratio.median,
-            );
-            let mut row = Map::new();
-            row.insert("name".into(), Value::String("sharded_matrix_quick".into()));
-            row.insert("kind".into(), Value::String("sharded_matrix".into()));
-            row.insert("shards".into(), Value::Number(MATRIX_SHARDS as f64));
-            insert_quartiles(&mut row, "single_process", single_q);
-            insert_quartiles(&mut row, "sharded", sharded_q);
-            row.insert("single_over_sharded".into(), Value::Number(ratio.median));
-            row.insert("reports_byte_identical".into(), Value::Bool(true));
-            rows.push(Value::Object(row));
-        }
-    }
-
     // ---- elastic drive: one injected worker loss vs clean run -----------
     //
     // Informational row (never gated): pins down the wall-clock overhead

@@ -49,39 +49,30 @@ pub enum PipelineError {
         /// Which matching stage gave up.
         stage: &'static str,
     },
-    /// A matrix split was requested with an unusable shard count
-    /// (`--shards 0`, or more shards than matrix rows).
+    /// An elastic drive was requested with an unusable worker count
+    /// (`--shards 0`, or more workers than matrix rows).
     InvalidShardCount {
-        /// Requested shard count.
+        /// Requested worker count.
         count: usize,
         /// Number of matrix rows available to distribute.
         rows: usize,
     },
-    /// A shard index outside `0..shard_count` was requested
-    /// (`--shard-index` out of range for `--shards`).
-    InvalidShardIndex {
-        /// Requested shard index.
-        index: usize,
-        /// The shard count the index must stay below.
-        count: usize,
-    },
-    /// A shard manifest or CLI invocation named a benchmark that is not
+    /// A cell task or CLI invocation named a benchmark that is not
     /// in the Table 2 matrix.
     UnknownBenchmark {
         /// The unrecognized benchmark name.
         name: String,
     },
-    /// A shard manifest or partial-results artifact was malformed: wrong
-    /// format tag, unsupported artifact version, or a field that does
-    /// not parse.
+    /// A cell task or cell result artifact, a run directory or a CLI
+    /// invocation was malformed: wrong format tag, unsupported artifact
+    /// version, or a field that does not parse.
     ShardArtifact {
         /// What was wrong with the artifact.
         detail: String,
     },
-    /// Partial results from the matrix shards do not reassemble into the
-    /// full matrix (missing, duplicate or foreign cells) — the merge
-    /// refuses to emit a report that silently differs from the
-    /// single-process run.
+    /// Per-cell results do not reassemble into the full matrix
+    /// (missing, duplicate or foreign cells) — the merge refuses to emit
+    /// a report that silently differs from the single-process run.
     ShardMerge {
         /// What failed to line up.
         detail: String,
@@ -181,13 +172,6 @@ impl fmt::Display for PipelineError {
                     f,
                     "cannot split the matrix into {count} shard(s): pass --shards N \
                      with 1 <= N <= {rows} (the matrix has {rows} rows)"
-                )
-            }
-            PipelineError::InvalidShardIndex { index, count } => {
-                write!(
-                    f,
-                    "shard index {index} is out of range for {count} shard(s): pass \
-                     --shard-index i with 0 <= i < {count}"
                 )
             }
             PipelineError::UnknownBenchmark { name } => {
@@ -294,8 +278,6 @@ mod tests {
         let e = PipelineError::InvalidShardCount { count: 0, rows: 44 };
         assert!(e.to_string().contains("--shards N"));
         assert!(e.to_string().contains("44"));
-        let e = PipelineError::InvalidShardIndex { index: 5, count: 3 };
-        assert!(e.to_string().contains("0 <= i < 3"));
         let e = PipelineError::UnknownBenchmark {
             name: "frobnicate".into(),
         };

@@ -32,24 +32,24 @@ pub struct BenchmarkOptions {
     /// and ignored (cold start), never a panic or a wrong answer.
     /// Results are byte-identical with or without the cache, warm or
     /// cold — which is also why the path is **not** part of a run's
-    /// recorded identity (`provshard` manifests never serialize it).
+    /// recorded identity (`provshard` cell tasks never serialize it).
     ///
     /// [`run_benchmark`]: crate::pipeline::run_benchmark
     pub solve_cache: Option<std::path::PathBuf>,
     /// Trace directory for structured run telemetry (`provtrace`).
     /// When set, the top-level runners ([`run_benchmark`],
-    /// [`run_matrix_cells`]) record spans (cells, rows, stages, solves),
+    /// [`run_matrix`]) record spans (cells, rows, stages, solves),
     /// memo/cache events and counters, and flush them durably to
     /// `trace.<label>.<pid>.jsonl` in this directory. Tracing is
     /// observably outcome-neutral: reports are byte-identical with it
     /// on or off, and when unset every instrumentation site is a no-op
     /// branch (no allocation, no lock). Like `solve_cache`, the path is
     /// runner-local configuration — wired per invocation via `--trace`
-    /// — and never part of a run's recorded identity (`provshard`
-    /// manifests never serialize it).
+    /// — and never part of a run's recorded identity (`provshard` cell
+    /// tasks never serialize it).
     ///
     /// [`run_benchmark`]: crate::pipeline::run_benchmark
-    /// [`run_matrix_cells`]: crate::pipeline::run_matrix_cells
+    /// [`run_matrix`]: crate::pipeline::run_matrix
     pub trace: Option<std::path::PathBuf>,
 }
 

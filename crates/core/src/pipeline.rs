@@ -287,9 +287,10 @@ fn save_solve_cache(memo: Option<&SolveMemo>, opts: &BenchmarkOptions) {
 /// [`run_benchmark`] with a caller-owned [`SolveMemo`] (and no cache
 /// file I/O). Because memo keys are content hashes — independent of any
 /// session or process — one memo may be shared across many runs and
-/// cells: the sharded and elastic matrix paths thread a process-wide
-/// memo through here. With `None` the run solves memo-less. Outcomes
-/// are byte-identical in every case, search statistics included.
+/// cells: the matrix runner and the elastic workers thread a
+/// process-wide memo through here. With `None` the run solves
+/// memo-less. Outcomes are byte-identical in every case, search
+/// statistics included.
 ///
 /// # Errors
 ///
@@ -429,121 +430,16 @@ impl MeasuredCell {
 /// `opus_db_iterations` overrides the simulated Neo4j startup cost so
 /// tests can run the matrix quickly; pass `None` for the default.
 ///
-/// This is the single-process convenience wrapper over the sharded
-/// execution path: [`plan_matrix_shards`] → [`run_matrix_cells`] →
-/// [`merge_matrix_summaries`] run the same matrix split across worker
-/// processes (or hosts) and reassemble the identical report.
+/// This is the single-process reference run. The elastic protocol in the
+/// `provshard` crate runs the same cells one at a time through
+/// [`run_matrix_cell`] and reassembles them with [`merge_matrix_cells`]
+/// into the identical report.
 pub fn run_matrix(
     opts: &BenchmarkOptions,
     opus_db_iterations: Option<u64>,
 ) -> Vec<(crate::suite::Expectation, [MeasuredCell; 3])> {
-    let all: Vec<String> = crate::suite::table2()
-        .iter()
-        .map(|exp| exp.syscall.to_owned())
-        .collect();
-    // provlint: allow(panic-in-lib) -- rows come straight from the static table2; lookup cannot fail
-    run_matrix_cells(&all, opts, opus_db_iterations).expect("table2 rows are known benchmarks")
-}
-
-// ---------------------------------------------------------------------
-// Sharded matrix execution: plan / execute / merge
-// ---------------------------------------------------------------------
-
-/// One planned shard of the Table 2 matrix: a self-describing subset of
-/// rows for one worker to execute.
-///
-/// Rows are assigned round-robin by canonical position, so shard sizes
-/// differ by at most one and adjacent (similar-cost) rows spread across
-/// workers. The merge step reassembles canonical order regardless of
-/// how the plan distributed or the workers finished.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MatrixShard {
-    /// Position of this shard within the plan (`0..shard_count`).
-    pub shard_index: usize,
-    /// Total number of shards in the plan.
-    pub shard_count: usize,
-    /// Syscall names of the rows this shard executes.
-    pub syscalls: Vec<String>,
-}
-
-/// Split the Table 2 matrix into `shard_count` self-describing shards.
-///
-/// # Errors
-///
-/// [`PipelineError::InvalidShardCount`] when `shard_count` is zero or
-/// exceeds the number of matrix rows (which would plan empty workers —
-/// almost certainly a misconfiguration).
-pub fn plan_matrix_shards(shard_count: usize) -> Result<Vec<MatrixShard>, PipelineError> {
-    let rows = crate::suite::table2();
-    if shard_count == 0 || shard_count > rows.len() {
-        return Err(PipelineError::InvalidShardCount {
-            count: shard_count,
-            rows: rows.len(),
-        });
-    }
-    let mut shards: Vec<MatrixShard> = (0..shard_count)
-        .map(|shard_index| MatrixShard {
-            shard_index,
-            shard_count,
-            syscalls: Vec::new(),
-        })
-        .collect();
-    for (i, exp) in rows.iter().enumerate() {
-        shards[i % shard_count]
-            .syscalls
-            .push(exp.syscall.to_owned());
-    }
-    Ok(shards)
-}
-
-/// Plan a single shard of a `shard_count`-way split.
-///
-/// # Errors
-///
-/// [`PipelineError::InvalidShardCount`] /
-/// [`PipelineError::InvalidShardIndex`] on malformed `--shards` /
-/// `--shard-index` combinations.
-pub fn plan_matrix_shard(
-    shard_count: usize,
-    shard_index: usize,
-) -> Result<MatrixShard, PipelineError> {
-    let shards = plan_matrix_shards(shard_count)?;
-    shards
-        .into_iter()
-        .nth(shard_index)
-        .ok_or(PipelineError::InvalidShardIndex {
-            index: shard_index,
-            count: shard_count,
-        })
-}
-
-/// Execute a subset of Table 2 rows (the *execute* step of the sharded
-/// matrix path). Rows run in parallel exactly as in [`run_matrix`]; each
-/// cell instantiates its own tool handles, so a shard's cells are
-/// identical to the same cells of a single-process run.
-///
-/// # Errors
-///
-/// [`PipelineError::UnknownBenchmark`] when a name is not a Table 2 row
-/// (per-cell pipeline errors are *reported in the cell*, not raised —
-/// same contract as [`run_matrix`]).
-pub fn run_matrix_cells(
-    syscalls: &[String],
-    opts: &BenchmarkOptions,
-    opus_db_iterations: Option<u64>,
-) -> Result<Vec<(crate::suite::Expectation, [MeasuredCell; 3])>, PipelineError> {
     use crate::tool::ToolKind;
-    let table = crate::suite::table2();
-    let expectations: Vec<crate::suite::Expectation> = syscalls
-        .iter()
-        .map(|name| {
-            table
-                .iter()
-                .find(|exp| exp.syscall == name)
-                .copied()
-                .ok_or_else(|| PipelineError::UnknownBenchmark { name: name.clone() })
-        })
-        .collect::<Result<_, _>>()?;
+    let expectations = crate::suite::table2();
     // One process-wide memo shared by every cell: memo keys are content
     // hashes, valid across the per-cell sessions, so cross-cell replays
     // (the same background trials recur in every row) are lookups. With
@@ -558,41 +454,36 @@ pub fn run_matrix_cells(
         vec![("rows", provtrace::Field::from(expectations.len()))]
     });
     let cells = crate::par::par_map(&expectations, |exp| {
-        // provlint: allow(panic-in-lib) -- callers resolve expectations from table2 before this phase
+        // provlint: allow(panic-in-lib) -- rows come straight from the static table2, and every table2 row has a spec
         let spec = crate::suite::spec(exp.syscall).expect("table2 rows have specs");
         let row = tracer.span_enter("row", phase, || {
             vec![("syscall", provtrace::Field::from(exp.syscall))]
         });
-        let cells: Vec<MeasuredCell> = ToolKind::all()
-            .into_iter()
-            .map(|kind| {
-                measure_cell(
-                    &spec,
-                    kind,
-                    opts,
-                    opus_db_iterations,
-                    memo.as_ref(),
-                    &tracer,
-                    row,
-                )
-            })
-            .collect();
-        // provlint: allow(panic-in-lib) -- ToolKind::all() is a fixed three-element array
-        let cells: [MeasuredCell; 3] = cells.try_into().expect("three tools");
+        let cells = ToolKind::all().map(|kind| {
+            measure_cell(
+                &spec,
+                kind,
+                opts,
+                opus_db_iterations,
+                memo.as_ref(),
+                &tracer,
+                row,
+            )
+        });
         tracer.span_exit("row", row);
         cells
     });
     tracer.span_exit("phase.execute", phase);
     save_solve_cache(memo.as_ref(), opts);
     flush_trace(&tracer, opts);
-    Ok(expectations.into_iter().zip(cells).collect())
+    expectations.into_iter().zip(cells).collect()
 }
 
 /// Measure one (benchmark, tool) cell: build the tool exactly as the
 /// full-matrix path does, instantiate a fresh handle, and run the
 /// pipeline. Each cell is a pure function of `(spec, kind, opts,
 /// opus_db_iterations)` — which is what makes per-cell elastic
-/// execution byte-identical to per-row and single-process runs. The
+/// execution byte-identical to the single-process [`run_matrix`]. The
 /// memo (any memo, warm or cold) never changes that function's value,
 /// only how much of it is re-derived.
 fn measure_cell(
@@ -638,8 +529,8 @@ fn measure_cell(
 /// Execute a single matrix cell — one `(syscall, tool column)` pair —
 /// and summarize it. This is the unit of work the elastic shard runner
 /// dispatches to workers; it reuses the exact tool-construction and
-/// measurement path of [`run_matrix_cells`], so a matrix reassembled
-/// from per-cell outcomes is byte-identical to a single-process run.
+/// measurement path of [`run_matrix`], so a matrix reassembled from
+/// per-cell outcomes is byte-identical to a single-process run.
 ///
 /// # Errors
 ///
@@ -647,7 +538,7 @@ fn measure_cell(
 /// row; [`PipelineError::UnknownTool`] when `tool` is not a matrix
 /// column (0 = SPADE, 1 = OPUS, 2 = CamFlow). Per-cell *pipeline*
 /// errors are reported inside the [`CellOutcome`], not raised — same
-/// contract as the row-level runners.
+/// contract as [`run_matrix`].
 pub fn run_matrix_cell(
     syscall: &str,
     tool: usize,
@@ -783,8 +674,7 @@ impl std::fmt::Display for CellFailure {
 }
 
 /// Deterministically reassemble per-cell outcomes into the full matrix
-/// (the merge step of the *elastic* sharded path, finer-grained than
-/// [`merge_matrix_summaries`]).
+/// (the merge step of the elastic protocol).
 ///
 /// Output is in canonical Table 2 order with canonical tool columns
 /// regardless of completion order, so a report rendered from it is
@@ -845,12 +735,12 @@ pub fn merge_matrix_cells(
 }
 
 /// Deterministic, serializable summary of one measured matrix cell —
-/// the unit the sharded matrix runner ships between processes.
+/// the unit elastic workers publish between processes.
 ///
 /// Everything here is a pure function of the cell's (seeded,
 /// deterministic) pipeline run: no timings, no host state. Two runs of
 /// the same cell on any machines produce equal summaries, which is what
-/// makes the merged shard report byte-identical to the single-process
+/// makes the merged elastic report byte-identical to the single-process
 /// one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellOutcome {
@@ -886,106 +776,6 @@ impl CellOutcome {
     pub fn completed(&self) -> bool {
         self.matching_cost.is_some()
     }
-}
-
-/// One summarized matrix row: the syscall plus the three tool outcomes
-/// in canonical order (SPADE, OPUS, CamFlow).
-pub type SummaryRow = (String, [CellOutcome; 3]);
-
-/// Summarize executed rows into the serializable interchange form.
-pub fn summarize_rows(rows: &[(crate::suite::Expectation, [MeasuredCell; 3])]) -> Vec<SummaryRow> {
-    rows.iter()
-        .map(|(exp, cells)| {
-            (
-                exp.syscall.to_owned(),
-                [
-                    CellOutcome::of(&cells[0]),
-                    CellOutcome::of(&cells[1]),
-                    CellOutcome::of(&cells[2]),
-                ],
-            )
-        })
-        .collect()
-}
-
-/// Deterministically merge shard partial results back into the full
-/// matrix (the *merge* step of the sharded path).
-///
-/// The output is in canonical Table 2 order regardless of how rows were
-/// distributed across shards or in which order workers finished, so a
-/// report rendered from it is byte-identical to the single-process
-/// run's.
-///
-/// # Errors
-///
-/// [`PipelineError::ShardMerge`] when the parts contain a row that is
-/// not a Table 2 benchmark, the same row twice, or fail to cover the
-/// matrix — the merge never emits a silently partial report.
-pub fn merge_matrix_summaries(
-    parts: impl IntoIterator<Item = Vec<SummaryRow>>,
-) -> Result<Vec<(crate::suite::Expectation, [CellOutcome; 3])>, PipelineError> {
-    let table = crate::suite::table2();
-    let mut by_name: std::collections::BTreeMap<String, [CellOutcome; 3]> = Default::default();
-    for (syscall, cells) in parts.into_iter().flatten() {
-        if !table.iter().any(|exp| exp.syscall == syscall) {
-            return Err(PipelineError::ShardMerge {
-                detail: format!("foreign row `{syscall}` is not a Table 2 benchmark"),
-            });
-        }
-        if by_name.insert(syscall.clone(), cells).is_some() {
-            return Err(PipelineError::ShardMerge {
-                detail: format!("row `{syscall}` appears in more than one shard result"),
-            });
-        }
-    }
-    let mut rows = Vec::with_capacity(table.len());
-    let mut missing: Vec<&str> = Vec::new();
-    for exp in table {
-        match by_name.remove(exp.syscall) {
-            Some(cells) => rows.push((exp, cells)),
-            None => missing.push(exp.syscall),
-        }
-    }
-    if !missing.is_empty() {
-        return Err(PipelineError::ShardMerge {
-            detail: format!(
-                "{} row(s) missing from the shard results: {}",
-                missing.len(),
-                missing.join(", ")
-            ),
-        });
-    }
-    Ok(rows)
-}
-
-/// Driver for a sharded matrix run: plan `shard_count` shards, execute
-/// each through `worker` — typically a closure that spawns a worker
-/// *process* of the current executable and parses its partial-results
-/// artifact (see the `provshard` crate), but in-process workers work
-/// too — and deterministically merge the partial results.
-///
-/// Workers run concurrently via [`crate::par::par_map`], so with a
-/// process-spawning worker this drives N local worker processes at
-/// once.
-///
-/// # Errors
-///
-/// Planning errors, the first worker error (by shard order), or a merge
-/// error when the partials do not reassemble the full matrix.
-pub fn run_matrix_sharded<W>(
-    shard_count: usize,
-    worker: W,
-) -> Result<Vec<(crate::suite::Expectation, [CellOutcome; 3])>, PipelineError>
-where
-    W: Fn(&MatrixShard) -> Result<Vec<SummaryRow>, PipelineError> + Sync,
-{
-    let shards = plan_matrix_shards(shard_count)?;
-    let parts = crate::par::par_map(&shards, &worker);
-    let mut collected = Vec::with_capacity(parts.len());
-    for part in parts {
-        collected.push(part?);
-    }
-    merge_matrix_summaries(collected)
 }
 
 #[cfg(test)]
@@ -1180,155 +970,24 @@ mod tests {
     }
 
     #[test]
-    fn shard_plan_covers_matrix_exactly_once() {
-        let rows = crate::suite::table2();
-        for shard_count in [1, 2, 3, 7, rows.len()] {
-            let shards = plan_matrix_shards(shard_count).unwrap();
-            assert_eq!(shards.len(), shard_count);
-            let mut seen: Vec<&str> = Vec::new();
-            for (i, shard) in shards.iter().enumerate() {
-                assert_eq!(shard.shard_index, i);
-                assert_eq!(shard.shard_count, shard_count);
-                // Round-robin: sizes differ by at most one.
-                assert!(shard.syscalls.len() >= rows.len() / shard_count);
-                assert!(shard.syscalls.len() <= rows.len().div_ceil(shard_count));
-                seen.extend(shard.syscalls.iter().map(String::as_str));
-                assert_eq!(*shard, plan_matrix_shard(shard_count, i).unwrap());
-            }
-            seen.sort_unstable();
-            let mut all: Vec<&str> = rows.iter().map(|e| e.syscall).collect();
-            all.sort_unstable();
-            assert_eq!(seen, all, "{shard_count} shards must partition the rows");
-        }
-    }
-
-    #[test]
-    fn shard_plan_validates_arguments() {
-        let rows = crate::suite::table2().len();
-        assert!(matches!(
-            plan_matrix_shards(0),
-            Err(PipelineError::InvalidShardCount { count: 0, .. })
-        ));
-        assert!(matches!(
-            plan_matrix_shards(rows + 1),
-            Err(PipelineError::InvalidShardCount { .. })
-        ));
-        assert!(matches!(
-            plan_matrix_shard(3, 3),
-            Err(PipelineError::InvalidShardIndex { index: 3, count: 3 })
-        ));
-        assert!(matches!(
-            plan_matrix_shard(0, 0),
-            Err(PipelineError::InvalidShardCount { .. })
-        ));
-        let err = plan_matrix_shard(3, 5).unwrap_err().to_string();
-        assert!(err.contains("--shard-index"), "actionable: {err}");
-    }
-
-    #[test]
-    fn unknown_benchmark_rejected_by_execute() {
-        let err = run_matrix_cells(
-            &["creat".to_owned(), "no_such_call".to_owned()],
-            &BenchmarkOptions::default(),
-            Some(100),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(&err, PipelineError::UnknownBenchmark { name } if name == "no_such_call"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn merge_rejects_missing_duplicate_and_foreign_rows() {
-        let ok_cell = || CellOutcome {
-            status: "ok".to_owned(),
-            matching_cost: Some(0),
-            discarded_trials: Some(0),
-            result_size: Some(3),
-        };
-        let row = |name: &str| (name.to_owned(), [ok_cell(), ok_cell(), ok_cell()]);
-        // Missing almost everything.
-        let err = merge_matrix_summaries([vec![row("creat")]]).unwrap_err();
-        assert!(
-            matches!(&err, PipelineError::ShardMerge { detail } if detail.contains("missing")),
-            "{err}"
-        );
-        // Duplicate across shards.
-        let err = merge_matrix_summaries([vec![row("creat")], vec![row("creat")]]).unwrap_err();
-        assert!(
-            matches!(&err, PipelineError::ShardMerge { detail } if detail.contains("more than one")),
-            "{err}"
-        );
-        // Foreign row.
-        let err = merge_matrix_summaries([vec![row("not_a_syscall")]]).unwrap_err();
-        assert!(
-            matches!(&err, PipelineError::ShardMerge { detail } if detail.contains("foreign")),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn sharded_subset_equals_single_process_cells() {
-        // Two rows executed as two one-row "shards" must summarize
-        // identically to the same rows from one execution (cells are
-        // per-cell deterministic), and the merge must reorder to
-        // canonical positions.
-        let opts = BenchmarkOptions::default();
-        let names: Vec<String> = vec!["creat".into(), "close".into()];
-        let single = run_matrix_cells(&names, &opts, Some(100)).unwrap();
-        let single_rows = summarize_rows(&single);
-        let part_a = run_matrix_cells(&names[..1], &opts, Some(100)).unwrap();
-        let part_b = run_matrix_cells(&names[1..], &opts, Some(100)).unwrap();
-        let mut sharded = summarize_rows(&part_b);
-        sharded.extend(summarize_rows(&part_a));
-        for (name, cells) in &single_rows {
-            let (_, other) = sharded
-                .iter()
-                .find(|(n, _)| n == name)
-                .expect("row present");
-            assert_eq!(cells, other, "{name}: sharded cell diverges");
-        }
-    }
-
-    #[test]
-    fn sharded_driver_runs_in_process_workers() {
-        // The driver with an in-process worker must produce the merged
-        // full matrix in canonical order. (The byte-identical subprocess
-        // version lives in the provshard crate's integration tests.)
-        let opts = BenchmarkOptions::default();
-        let merged = run_matrix_sharded(11, |shard: &MatrixShard| {
-            Ok(summarize_rows(&run_matrix_cells(
-                &shard.syscalls,
-                &opts,
-                Some(100),
-            )?))
-        })
-        .unwrap();
-        let table = crate::suite::table2();
-        assert_eq!(merged.len(), table.len());
-        for ((exp, _), want) in merged.iter().zip(&table) {
-            assert_eq!(exp.syscall, want.syscall, "canonical order restored");
-        }
-        // A worker error propagates.
-        let err = run_matrix_sharded(3, |_shard| {
-            Err::<Vec<SummaryRow>, _>(PipelineError::NotEnoughTrials(0))
-        })
-        .unwrap_err();
-        assert!(matches!(err, PipelineError::NotEnoughTrials(0)));
-    }
-
-    #[test]
     fn per_cell_execution_matches_per_row_execution() {
         // `run_matrix_cell` (the elastic unit of work) must produce
-        // outcomes equal to the same cells of a row execution — the
-        // foundation of the byte-identity invariant for elastic runs.
+        // outcomes equal to the same cells of the single-process matrix
+        // run — the foundation of the byte-identity invariant for
+        // elastic runs.
         let opts = BenchmarkOptions::default();
-        let names: Vec<String> = vec!["creat".into()];
-        let row = summarize_rows(&run_matrix_cells(&names, &opts, Some(100)).unwrap());
-        for tool in 0..3 {
+        let rows = run_matrix(&opts, Some(100));
+        let (_, row) = rows
+            .iter()
+            .find(|(exp, _)| exp.syscall == "creat")
+            .expect("creat is a Table 2 row");
+        for (tool, measured) in row.iter().enumerate() {
             let cell = run_matrix_cell("creat", tool, &opts, Some(100)).unwrap();
-            assert_eq!(cell, row[0].1[tool], "tool column {tool} diverges");
+            assert_eq!(
+                cell,
+                CellOutcome::of(measured),
+                "tool column {tool} diverges"
+            );
         }
     }
 
@@ -1344,20 +1003,23 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn cell_merge_restores_canonical_order_and_validates() {
-        let ok = || CellOutcome {
+    fn ok_cell() -> CellOutcome {
+        CellOutcome {
             status: "ok".into(),
             matching_cost: Some(0),
             discarded_trials: Some(0),
             result_size: Some(1),
-        };
+        }
+    }
+
+    #[test]
+    fn cell_merge_restores_canonical_order_and_validates() {
         let table = crate::suite::table2();
         // Full coverage in reverse order merges into canonical order.
         let mut cells: Vec<(String, usize, CellOutcome)> = Vec::new();
         for exp in table.iter().rev() {
             for tool in (0..3).rev() {
-                cells.push((exp.syscall.to_owned(), tool, ok()));
+                cells.push((exp.syscall.to_owned(), tool, ok_cell()));
             }
         }
         let merged = merge_matrix_cells(cells).unwrap();
@@ -1366,18 +1028,21 @@ mod tests {
             assert_eq!(exp.syscall, want.syscall, "canonical order restored");
         }
 
-        let err = merge_matrix_cells(vec![("frobnicate".to_owned(), 0, ok())]).unwrap_err();
-        assert!(matches!(err, PipelineError::ShardMerge { detail } if detail.contains("foreign")));
-
-        let err = merge_matrix_cells(vec![("creat".to_owned(), 5, ok())]).unwrap_err();
+        let err = merge_matrix_cells(vec![("creat".to_owned(), 5, ok_cell())]).unwrap_err();
         assert!(matches!(
             err,
             PipelineError::UnknownTool { index: 5, tools: 3 }
         ));
+    }
+
+    #[test]
+    fn merge_rejects_missing_duplicate_and_foreign_rows() {
+        let err = merge_matrix_cells(vec![("frobnicate".to_owned(), 0, ok_cell())]).unwrap_err();
+        assert!(matches!(err, PipelineError::ShardMerge { detail } if detail.contains("foreign")));
 
         let err = merge_matrix_cells(vec![
-            ("creat".to_owned(), 0, ok()),
-            ("creat".to_owned(), 0, ok()),
+            ("creat".to_owned(), 0, ok_cell()),
+            ("creat".to_owned(), 0, ok_cell()),
         ])
         .unwrap_err();
         assert!(
@@ -1385,7 +1050,7 @@ mod tests {
             "{err}"
         );
 
-        let err = merge_matrix_cells(vec![("creat".to_owned(), 0, ok())]).unwrap_err();
+        let err = merge_matrix_cells(vec![("creat".to_owned(), 0, ok_cell())]).unwrap_err();
         assert!(
             matches!(&err, PipelineError::ShardMerge { detail }
                 if detail.contains("missing") && detail.contains("creat/1")),

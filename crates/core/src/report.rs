@@ -66,15 +66,15 @@ pub fn render_table2(rows: &[(Expectation, [CellResult; 3])]) -> String {
 }
 
 /// Render the full matrix report from summarized cells — the canonical
-/// output of a matrix run, shared by the single-process and sharded
+/// output of a matrix run, shared by the single-process and elastic
 /// paths.
 ///
 /// Deterministic by construction: cells carry only seeded-pipeline
 /// outcomes (status, matching cost, discarded trials, result size — no
 /// timings), and rows arrive in canonical Table 2 order from
-/// [`crate::pipeline::merge_matrix_summaries`] / [`crate::pipeline::run_matrix`].
-/// A sharded run's merged report is therefore **byte-identical** to the
-/// single-process report, which is exactly what the sharded smoke test
+/// [`crate::pipeline::run_matrix`] / [`crate::pipeline::merge_matrix_cells`].
+/// An elastic run's merged report is therefore **byte-identical** to the
+/// single-process report, which is exactly what the elastic drive smoke
 /// asserts.
 pub fn render_matrix_report(rows: &[(Expectation, [CellOutcome; 3])]) -> String {
     let mut out = matrix_table_header();

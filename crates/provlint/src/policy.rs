@@ -121,7 +121,6 @@ impl Policy {
                 "snapshot",
                 "claim_protocol",
                 "solve_cache",
-                "sharded_matrix",
                 "proptest_formats",
             ]),
             // The timing layers: the tracer, the bench shim and the

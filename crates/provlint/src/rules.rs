@@ -34,10 +34,9 @@ back by other processes and later runs. A raw `fs::write` or
 `File::create` can be torn by a crash mid-write, leaving a half-file
 observable at the final path; every consumer then needs bespoke
 corruption handling. The workspace primitive
-`provtrace::write_bytes_durable` (which `provshard::atomic_write`
-delegates to) writes a same-directory temp file, fsyncs it, renames it
-over the destination and fsyncs the directory, so readers only ever see
-the old bytes or the new bytes.",
+`provtrace::write_bytes_durable` writes a same-directory temp file,
+fsyncs it, renames it over the destination and fsyncs the directory, so
+readers only ever see the old bytes or the new bytes.",
         fix: "\
 Replace `fs::write(path, bytes)` with
 `provtrace::write_bytes_durable(&path, bytes)`. For streaming writers,
@@ -180,7 +179,7 @@ pub fn check_raw_write(sf: &SourceFile, policy: &Policy) -> Vec<Diagnostic> {
             i,
             format!(
                 "raw {what} bypasses torn-write protection; route artifact writes \
-                 through `provtrace::write_bytes_durable` (or `provshard::atomic_write`)"
+                 through `provtrace::write_bytes_durable`"
             ),
         ));
     }

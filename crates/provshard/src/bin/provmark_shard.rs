@@ -1,30 +1,25 @@
-//! `provmark-shard` — the sharded Table 2 matrix runner.
+//! `provmark-shard` — runs the Table 2 matrix, in one process or over
+//! elastic worker processes.
 //!
 //! ```text
-//! provmark-shard plan    --shards N [--shard-index i] --out-dir DIR [--quick] [--trials T] [--seed S]
-//! provmark-shard execute MANIFEST --out PARTIAL
-//! provmark-shard merge   PARTIAL... --out REPORT
 //! provmark-shard single  [--quick] [--trials T] [--seed S] [--solve-cache DIR] [--trace DIR] --out REPORT
 //! provmark-shard drive   --shards N --out REPORT [--work-dir DIR] [--solve-cache DIR] [--trace DIR] [fault options] [run options]
 //! provmark-shard work    DIR --worker-index N [--heartbeat-ms H] [--poll-ms P] [--stall-ms S] [--inject SPEC] [--solve-cache DIR] [--trace DIR]
 //! ```
 //!
-//! `plan` writes self-describing shard manifests (one per shard, or just
-//! shard `i` with `--shard-index`); `execute` runs one manifest through
-//! the pipeline and writes its partial-results artifact; `merge`
-//! deterministically reassembles partials into the canonical matrix
-//! report; `single` runs the whole matrix in one process and writes the
-//! byte-identical reference report; `drive` runs the crash-tolerant
-//! elastic layer — per-cell claimable tasks, heartbeats, epoch-bumped
-//! re-dispatch — over N concurrent `work` worker *processes* of this
-//! executable; `work` is that worker loop (claim → solve → publish,
-//! driven entirely by the shared run directory).
+//! `single` runs the whole matrix in one process and writes the
+//! reference report; `drive` runs the crash-tolerant elastic protocol —
+//! per-cell claimable tasks, heartbeats, epoch-bumped re-dispatch — over
+//! N concurrent `work` worker *processes* of this executable and writes
+//! a report byte-identical to `single`'s; `work` is that worker loop
+//! (claim → solve → publish, driven entirely by the shared run
+//! directory).
 //!
 //! `--solve-cache DIR` points `single`, `drive` and `work` at a shared
 //! persistent solve-cache directory: runs warm their solve memos from
 //! `DIR/solve.cache` and publish what they solved back (elastic workers
 //! via private per-worker delta files the driver merges), so repeated
-//! runs — across processes, shards and restarts — replay prior dense
+//! runs — across processes, workers and restarts — replay prior dense
 //! searches. Reports are byte-identical with or without it; a missing
 //! cache is a cold start and a corrupt one is skipped with a note.
 //!
@@ -43,32 +38,26 @@
 //!
 //! All argument and artifact validation surfaces typed pipeline errors
 //! with actionable messages (exit code 2 for usage errors, 1 for
-//! pipeline failures). All artifact writes are atomic
-//! (write-temp-then-rename), so a killed invocation never leaves a torn
-//! file at a final path.
+//! pipeline failures). Reports are written atomically and durably
+//! (`provtrace::write_bytes_durable`), so a killed invocation never
+//! leaves a torn file at a final path.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use provmark_core::pipeline::plan_matrix_shard;
 use provmark_core::PipelineError;
 use provshard::elastic::{
     drive_elastic, worker_loop, ElasticOptions, InjectSpec, TaskStore, WorkerContext, WorkerEnd,
     SOLVE_CACHE_FILE,
 };
-use provshard::{
-    atomic_write, execute, load_partial, merge, plan, single_report, RunConfig, ShardManifest,
-};
+use provshard::{single_report, RunConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: provmark-shard <command> [options]\n\
          \n\
          commands:\n\
-         \x20 plan    --shards N [--shard-index i] --out-dir DIR [run options]\n\
-         \x20 execute MANIFEST --out PARTIAL\n\
-         \x20 merge   PARTIAL... --out REPORT\n\
          \x20 single  --out REPORT [run options]\n\
          \x20 drive   --shards N --out REPORT [--work-dir DIR] [fault options] [run options]\n\
          \x20 work    DIR --worker-index N [--heartbeat-ms H] [--poll-ms P] [--stall-ms S] [--inject SPEC]\n\
@@ -77,9 +66,8 @@ fn usage() -> ExitCode {
          \x20            --trials T (default 2), --seed S (default 1),\n\
          \x20            --no-memo (disable the session-level solve memo),\n\
          \x20            --solve-cache DIR (persistent solve cache shared across\n\
-         \x20            runs and workers; single, drive and work only),\n\
-         \x20            --trace DIR (write provtrace telemetry files into DIR;\n\
-         \x20            single, drive and work only)\n\
+         \x20            runs and workers),\n\
+         \x20            --trace DIR (write provtrace telemetry files into DIR)\n\
          fault options: --stale-after-ms MS (default 5000; 300 with --quick),\n\
          \x20            --max-retries R (default 2),\n\
          \x20            --backoff-ms MS (default 100; 50 with --quick),\n\
@@ -92,9 +80,7 @@ fn usage() -> ExitCode {
 #[derive(Default)]
 struct Args {
     shards: Option<usize>,
-    shard_index: Option<usize>,
     out: Option<PathBuf>,
-    out_dir: Option<PathBuf>,
     work_dir: Option<PathBuf>,
     solve_cache: Option<PathBuf>,
     trace: Option<PathBuf>,
@@ -133,15 +119,7 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
                     "a positive integer",
                 )?)
             }
-            "--shard-index" => {
-                args.shard_index = Some(number(
-                    "--shard-index",
-                    value("--shard-index", &mut it)?,
-                    "a non-negative integer",
-                )?)
-            }
             "--out" => args.out = Some(PathBuf::from(value("--out", &mut it)?)),
-            "--out-dir" => args.out_dir = Some(PathBuf::from(value("--out-dir", &mut it)?)),
             "--work-dir" => args.work_dir = Some(PathBuf::from(value("--work-dir", &mut it)?)),
             "--solve-cache" => {
                 args.solve_cache = Some(PathBuf::from(value("--solve-cache", &mut it)?))
@@ -268,71 +246,6 @@ impl Args {
 
 fn run(command: &str, args: &Args) -> Result<(), PipelineError> {
     match command {
-        "plan" => {
-            let shards = args.shards.ok_or(missing("--shards"))?;
-            let out_dir = args.out_dir.clone().ok_or(missing("--out-dir"))?;
-            std::fs::create_dir_all(&out_dir)?;
-            let manifests: Vec<ShardManifest> = match args.shard_index {
-                // Validates the index against the count with the typed
-                // pipeline errors before any file is written.
-                Some(index) => {
-                    plan_matrix_shard(shards, index)?;
-                    vec![plan(shards, &args.config())?.swap_remove(index)]
-                }
-                None => plan(shards, &args.config())?,
-            };
-            for manifest in &manifests {
-                let path = out_dir.join(format!("shard-{}.json", manifest.shard.shard_index));
-                atomic_write(&path, &manifest.to_json_string())?;
-                println!(
-                    "planned shard {}/{} ({} rows) -> {}",
-                    manifest.shard.shard_index,
-                    manifest.shard.shard_count,
-                    manifest.shard.syscalls.len(),
-                    path.display()
-                );
-            }
-            Ok(())
-        }
-        "execute" => {
-            let [manifest_path] = args.positional.as_slice() else {
-                return Err(missing("exactly one MANIFEST path"));
-            };
-            let out = args.out.clone().ok_or(missing("--out"))?;
-            let manifest = ShardManifest::from_json_str(&std::fs::read_to_string(manifest_path)?)?;
-            let partial = execute(&manifest)?;
-            atomic_write(&out, &partial.to_json_string())?;
-            println!(
-                "executed shard {}/{} ({} rows) -> {}",
-                partial.shard_index,
-                partial.shard_count,
-                partial.rows.len(),
-                out.display()
-            );
-            Ok(())
-        }
-        "merge" => {
-            if args.positional.is_empty() {
-                return Err(missing("at least one PARTIAL path"));
-            }
-            let out = args.out.clone().ok_or(missing("--out"))?;
-            // Loading names the offending file path and argument position
-            // on any malformed (e.g. truncated mid-write) artifact.
-            let parts = args
-                .positional
-                .iter()
-                .enumerate()
-                .map(|(i, p)| load_partial(p, i))
-                .collect::<Result<Vec<_>, _>>()?;
-            let report = merge(parts)?;
-            atomic_write(&out, &report)?;
-            println!(
-                "merged {} partial(s) -> {}",
-                args.positional.len(),
-                out.display()
-            );
-            Ok(())
-        }
         "single" => {
             let out = args.out.clone().ok_or(missing("--out"))?;
             let mut config = args.config();
@@ -342,7 +255,7 @@ fn run(command: &str, args: &Args) -> Result<(), PipelineError> {
             }
             config.opts.trace = args.trace.clone();
             let report = single_report(&config);
-            atomic_write(&out, &report)?;
+            provtrace::write_bytes_durable(&out, report.as_bytes())?;
             println!("single-process matrix -> {}", out.display());
             Ok(())
         }
@@ -352,13 +265,11 @@ fn run(command: &str, args: &Args) -> Result<(), PipelineError> {
             let work_dir = args.work_dir.clone().unwrap_or_else(|| {
                 std::env::temp_dir().join(format!("provmark-shard-{}", std::process::id()))
             });
-            // Same worker-count validation as the classic row plan.
-            provmark_core::pipeline::plan_matrix_shards(workers)?;
             let outcome =
                 drive_elastic(workers, &args.config(), &work_dir, &args.elastic_options())?;
             // The report is written even on a degraded run: lost cells
             // are visible in it, and the typed error follows.
-            atomic_write(&out, &outcome.report)?;
+            provtrace::write_bytes_durable(&out, outcome.report.as_bytes())?;
             for exit in outcome.worker_exits.iter().filter(|e| !e.success) {
                 match &exit.stderr {
                     Some(path) => eprintln!(

@@ -3,10 +3,9 @@
 //! A shared run directory is the whole coordination substrate — no
 //! sockets, no shared memory, no coordinator state that a crash can
 //! corrupt. The plan step writes one claimable **cell task file per
-//! matrix cell** (finer than the round-robin row shards of the classic
-//! path, so a long-tail row no longer serializes behind one worker);
-//! workers claim tasks by atomic `rename` into `claimed/`, refresh a
-//! heartbeat file while solving, and publish results with
+//! matrix cell** (so a long-tail row never serializes behind one
+//! worker); workers claim tasks by atomic `rename` into `claimed/`,
+//! refresh a heartbeat file while solving, and publish results with
 //! write-temp-then-`rename` so a torn artifact can never be observed at
 //! the final path. A supervisor loop watches heartbeats, re-dispatches
 //! cells whose worker died or stalled under a **bumped claim epoch**
@@ -34,10 +33,11 @@
 //!   epoch *e+1*; a zombie worker finishing the old claim publishes to
 //!   the epoch-*e* done path, which the supervisor ignores (latest
 //!   epoch wins, nothing is ever clobbered).
-//! * **Publish** is write-to-temp-then-`rename` ([`atomic_write`]), so
-//!   the done directory only ever holds complete documents — unless a
-//!   fault-injection deliberately tears one, which the harvest then
-//!   treats as a failed attempt. Results are also fsynced; task,
+//! * **Publish** is write-to-temp-then-`rename`
+//!   ([`provtrace::write_bytes_durable`]), so the done directory only
+//!   ever holds complete documents — unless a fault-injection
+//!   deliberately tears one, which the harvest then treats as a failed
+//!   attempt. Results are also fsynced; task,
 //!   heartbeat and stop-sentinel files are atomic but not fsynced,
 //!   since nothing reads them once the run is over.
 //!
@@ -84,8 +84,7 @@ use provmark_core::{PipelineError, WorkerFailure};
 use serde_json::{Map, Value};
 
 use crate::{
-    artifact, atomic_write, cell_from_json, cell_to_json, check_header, extract_config,
-    insert_config, RunConfig,
+    artifact, cell_from_json, cell_to_json, check_header, extract_config, insert_config, RunConfig,
 };
 
 /// Version of the cell-task JSON layout.
@@ -220,8 +219,10 @@ impl CellTask {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::ShardArtifact`] / [`PipelineError::Snapshot`] on
-    /// the same header conditions as the shard artifacts.
+    /// [`PipelineError::ShardArtifact`] on malformed JSON, a wrong
+    /// format tag, an unsupported task version or missing fields;
+    /// [`PipelineError::Snapshot`] when the task was written against a
+    /// different session-snapshot format version (runner skew).
     pub fn from_json_str(text: &str) -> Result<CellTask, PipelineError> {
         let doc: Value = serde_json::from_str(text)
             .map_err(|e| artifact(format!("cell task is not valid JSON: {e}")))?;
@@ -292,7 +293,7 @@ impl CellResult {
     /// # Errors
     ///
     /// [`PipelineError::ShardArtifact`] / [`PipelineError::Snapshot`] on
-    /// the same header conditions as the shard artifacts.
+    /// the same header conditions as [`CellTask::from_json_str`].
     pub fn from_json_str(text: &str) -> Result<CellResult, PipelineError> {
         let doc: Value = serde_json::from_str(text)
             .map_err(|e| artifact(format!("cell result is not valid JSON: {e}")))?;
@@ -508,7 +509,10 @@ impl TaskStore {
     /// [`PipelineError::Store`] on I/O failure.
     pub fn publish(&self, result: &CellResult) -> Result<(), PipelineError> {
         let name = format!("{}.t{}.e{}.json", result.syscall, result.tool, result.epoch);
-        atomic_write(&self.done().join(name), &result.to_json_string())?;
+        provtrace::write_bytes_durable(
+            &self.done().join(name),
+            result.to_json_string().as_bytes(),
+        )?;
         Ok(())
     }
 
@@ -1385,6 +1389,9 @@ impl ClaimClock {
 /// The supervisor loop: harvest published results, watch heartbeats,
 /// re-dispatch dead claims under bumped epochs with bounded retries
 /// and backoff, respawn the pool if it collapses, and merge.
+///
+/// `worker_count` must lie in `1..=` the number of matrix rows; anything
+/// else is [`PipelineError::InvalidShardCount`] before a worker spawns.
 fn supervise(
     store: &TaskStore,
     pool: &mut dyn Pool,
@@ -1394,6 +1401,13 @@ fn supervise(
     opts: &ElasticOptions,
     tracer: &provtrace::Tracer,
 ) -> Result<ElasticOutcome, PipelineError> {
+    let rows = provmark_core::suite::table2().len();
+    if worker_count == 0 || worker_count > rows {
+        return Err(PipelineError::InvalidShardCount {
+            count: worker_count,
+            rows,
+        });
+    }
     let mut slots: BTreeMap<String, Slot> = tasks
         .into_iter()
         .map(|task| {
@@ -1734,6 +1748,8 @@ fn stall_duration(opts: &ElasticOptions) -> Duration {
 ///
 /// # Errors
 ///
+/// [`PipelineError::InvalidShardCount`] unless `1 <= worker_count <=`
+/// the number of matrix rows,
 /// [`PipelineError::Store`] on I/O failures,
 /// [`PipelineError::ShardArtifact`] on a reused work dir,
 /// [`PipelineError::WorkerPool`] when the pool collapses beyond the

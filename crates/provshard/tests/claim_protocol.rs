@@ -1,5 +1,5 @@
 //! Unit-level tests of the elastic claim protocol: claim races have
-//! exactly one winner, artifact writes are atomic, torn results are
+//! exactly one winner, publishes are atomic, torn results are
 //! rejected as typed errors at every truncation length, the
 //! fault-injection spec parses round-trip, and a finished cell never
 //! waits out its heartbeat interval.
@@ -13,7 +13,7 @@ use provshard::elastic::{
     plan_cells, worker_loop, CellResult, CellTask, InjectSpec, MemoCounters, TaskStore,
     WorkerContext, WorkerEnd, CELL_RESULT_VERSION, CELL_TASK_VERSION,
 };
-use provshard::{atomic_write, RunConfig};
+use provshard::RunConfig;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -106,22 +106,6 @@ fn claim_race_has_exactly_one_winner() {
     // The winner's claim left a fresh liveness signal.
     let age = store.heartbeat_age(&task.id(), 1).expect("claim is live");
     assert!(age.as_secs() < 5, "claim-time heartbeat is fresh: {age:?}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn atomic_write_leaves_no_temp_files_and_replaces_content() {
-    let dir = temp_dir("atomic");
-    let path = dir.join("artifact.json");
-    atomic_write(&path, "first").unwrap();
-    atomic_write(&path, "second").unwrap();
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
-    let leftovers: Vec<String> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|n| n != "artifact.json")
-        .collect();
-    assert!(leftovers.is_empty(), "no temp files remain: {leftovers:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,15 +1,17 @@
-//! End-to-end fault-tolerance tests of the elastic drive: runs that
-//! lose workers, tear partials or stall mid-claim must recover and
-//! produce a merged report **byte-identical** to the single-process
-//! run; runs whose retries are exhausted must surface typed per-cell
-//! failures — never panics or torn artifacts.
+//! End-to-end tests of the elastic drive: runs that lose workers, tear
+//! partials or stall mid-claim must recover and produce a merged report
+//! **byte-identical** to the single-process run; runs whose retries are
+//! exhausted must surface typed per-cell failures — never panics or torn
+//! artifacts; unusable worker counts and CLI arguments fail with
+//! actionable errors.
 
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use provshard::elastic::{drive_elastic, ElasticOptions, InjectSpec};
+use provmark_core::PipelineError;
+use provshard::elastic::{drive_elastic, drive_elastic_in_process, ElasticOptions, InjectSpec};
 use provshard::{single_report, RunConfig};
 
 const WORKER: &str = env!("CARGO_BIN_EXE_provmark-shard");
@@ -62,6 +64,36 @@ fn quick_preset_scales_recovery_timings_down() {
     assert_eq!(quick.max_respawns, prod.max_respawns);
     assert_eq!(quick.poll_interval, prod.poll_interval);
     assert!(quick.inject.is_empty());
+}
+
+#[test]
+fn memo_off_single_report_is_byte_identical() {
+    assert!(reference().contains("agreement with paper Table 2"));
+    // The session-level solve memo (on by default) must be invisible in
+    // the report: a memo-off run renders byte-identically.
+    let mut no_memo = RunConfig::quick();
+    no_memo.opts.use_solve_memo = false;
+    assert_eq!(
+        single_report(&no_memo),
+        reference(),
+        "memo-on and memo-off matrix reports must be byte-identical"
+    );
+}
+
+#[test]
+fn unusable_worker_counts_are_rejected() {
+    let rows = provmark_core::suite::table2().len();
+    for workers in [0, rows + 1] {
+        let dir = temp_dir(&format!("workers-{workers}"));
+        let err = drive_elastic_in_process(workers, &RunConfig::quick(), &dir, &fast_opts(""))
+            .expect_err("an unusable worker count must fail");
+        assert!(
+            matches!(err, PipelineError::InvalidShardCount { count, rows: r }
+                if count == workers && r == rows),
+            "{workers} workers: {err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
@@ -311,6 +343,47 @@ fn drive_cli_reports_injected_faults_and_exhaustion() {
         "{}",
         String::from_utf8_lossy(&output.stderr)
     );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn worker_cli_validates_arguments_with_actionable_errors() {
+    let dir = temp_dir("cli-args");
+    let fail = |args: &[&str]| -> String {
+        let output = Command::new(WORKER)
+            .args(args)
+            .output()
+            .expect("spawn provmark-shard");
+        assert!(
+            !output.status.success(),
+            "provmark-shard {args:?} must fail"
+        );
+        String::from_utf8_lossy(&output.stderr).into_owned()
+    };
+    let work_dir = dir.join("work").to_string_lossy().into_owned();
+    let out = dir.join("never.txt").to_string_lossy().into_owned();
+
+    let err = fail(&[
+        "drive",
+        "--shards",
+        "0",
+        "--quick",
+        "--work-dir",
+        &work_dir,
+        "--out",
+        &out,
+    ]);
+    assert!(
+        err.contains("--shards N"),
+        "actionable worker-count error: {err}"
+    );
+
+    let err = fail(&["drive", "--shards", "not-a-number", "--out", &out]);
+    assert!(err.contains("positive integer"), "{err}");
+
+    let err = fail(&["frobnicate"]);
+    assert!(err.contains("unknown command"), "{err}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -82,8 +82,8 @@ static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// and the directory is fsynced so the rename itself is durable. A
 /// crash at any point leaves either the old content or the new — never
 /// a torn file. This is the workspace-wide primitive: `aspsolver`'s
-/// solve-cache writer and `provshard`'s artifact writer both delegate
-/// here, and every trace file is written through it.
+/// solve-cache writer delegates here, and `provshard`'s cell results
+/// and reports and every trace file are written through it.
 pub fn write_bytes_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
     write_via_temp(path, bytes, true)
 }
@@ -1437,6 +1437,31 @@ mod tests {
         let count = std::fs::read_dir(&dir).unwrap().count();
         assert_eq!(count, 1);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn atomic_write_leaves_no_temp_files_and_replaces_content() {
+        type Write = fn(&Path, &[u8]) -> io::Result<()>;
+        let writers: [Write; 2] = [write_bytes_durable, write_bytes_atomic];
+        for write in writers {
+            let dir = std::env::temp_dir().join(format!(
+                "provtrace-write-{}-{}",
+                std::process::id(),
+                TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("artifact.json");
+            write(&path, b"first").unwrap();
+            write(&path, b"second").unwrap();
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
+            let leftovers: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .filter(|n| n != "artifact.json")
+                .collect();
+            assert!(leftovers.is_empty(), "no temp files remain: {leftovers:?}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
