@@ -25,14 +25,13 @@
 //!   candidate;
 //! - adjacency consistency compares sorted `(Symbol, count)` slices.
 //!
-//! # The pruned kernel (`dense_pruning`, default on)
+//! # The bitset/WL kernel
 //!
-//! On top of that, the default search runs over **bitset candidate
-//! domains**: each left node's domain is a `⌈n2/64⌉`-word bitset over
-//! dense right ids, restricted word-parallel as assignments extend
-//! (`restrict_neighbours`) and undone via a change trail, so the legacy
-//! per-candidate `used`/`consistent` probes become two bit tests and MRV
-//! domain sizes become `popcount(dyn & free)`. For bijective problems,
+//! The search runs over **bitset candidate domains**: each left node's
+//! domain is a `⌈n2/64⌉`-word bitset over dense right ids, restricted
+//! word-parallel as assignments extend (`restrict_neighbours`) and
+//! undone via a change trail, so a candidate probe is two bit tests and
+//! an MRV domain size is `popcount(dyn & free)`. For bijective problems,
 //! memoized **Weisfeiler–Lehman shape colours**
 //! ([`provgraph::fingerprint::shape_colors_core`], a session lookup via
 //! [`CorpusSession::shape_colors`]) additionally pre-filter pairs whose
@@ -40,20 +39,18 @@
 //! most-constrained-first scan order, and tighten the admissible
 //! per-node cost floors. Every colour-guided prune removes only
 //! provably solution-free work, so **matchings, costs and optimality
-//! flags are identical** to the unpruned path (and to
-//! [`crate::solve_strings`]); [`SolverStats`] shrinks, deterministically
-//! — the invariant split the differential proptests pin. One caveat
-//! follows from doing less work: a budget-limited search may complete
-//! (report `optimal`) where the unpruned path would have exhausted
-//! `max_steps`; outcomes are guaranteed identical whenever neither path
-//! truncates.
+//! flags are identical** to [`crate::solve_strings`], while
+//! [`SolverStats`] never exceed the oracle's — the invariant split the
+//! differential proptests pin. One caveat follows from doing less work:
+//! a budget-limited search may complete (report `optimal`) where the
+//! oracle would have exhausted `max_steps`; outcomes are guaranteed
+//! identical whenever neither search truncates.
 //!
 //! String identifiers reappear only once, when the final dense matching
-//! is translated back to [`Matching`]'s `ElemId` maps. The legacy
-//! string-path engine is preserved in [`crate::solve_strings`] for
-//! differential testing and ablation benchmarks; the unpruned dense
-//! path stays compilable (`dense_pruning: false`) as the ablation
-//! baseline `bench_solver`'s `dense_pruned` column measures against.
+//! is translated back to [`Matching`]'s `ElemId` maps. The string-path
+//! engine in [`crate::solve_strings`] is the one independent reference:
+//! differential tests and `bench_solver` hold this kernel to its
+//! outcomes and bound its statistics by the oracle's.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,24 +119,6 @@ pub struct SolverConfig {
     pub cost_bound: bool,
     /// Try cheap candidates first (best-first value ordering).
     pub order_by_cost: bool,
-    /// Run the dense search over bitset candidate domains with
-    /// WL-colour-guided pruning (see the `Search` internals docs).
-    ///
-    /// With this on (the default), candidate domains are maintained as
-    /// `u64`-block bitsets intersected word-parallel as assignments
-    /// extend, and — for bijective problems — Weisfeiler–Lehman shape
-    /// colours pre-filter pairs whose iterated colour classes can never
-    /// correspond. Matchings, costs and optimality flags are identical
-    /// to the unpruned path (and to [`solve_strings`]); only
-    /// [`SolverStats`] improves (fewer steps/backtracks explored,
-    /// deterministically). Turning it off restores the legacy
-    /// vector-walk search, kept compilable as the ablation baseline that
-    /// `bench_solver`'s `dense_pruned` column measures against — and the
-    /// configuration under which statistics, not just outcomes, are
-    /// pinned to [`solve_strings`].
-    ///
-    /// [`solve_strings`]: crate::solve_strings
-    pub dense_pruning: bool,
 }
 
 impl Default for SolverConfig {
@@ -150,14 +129,21 @@ impl Default for SolverConfig {
             forward_check: true,
             cost_bound: true,
             order_by_cost: true,
-            dense_pruning: true,
         }
     }
 }
 
 impl SolverConfig {
-    /// A configuration with every optimization disabled — pure generate
-    /// and test over label-compatible candidates (the ablation baseline).
+    /// A configuration with every switchable rule disabled (the ablation
+    /// baseline): no degree filter, static candidate domains, no cost
+    /// bound and no value ordering.
+    ///
+    /// This is not pure generate and test: the bitset/WL kernel has no
+    /// switch, so bijective problems still skip WL-colour-mismatched
+    /// pairs. Outcomes equal [`solve_strings`] under this configuration
+    /// too.
+    ///
+    /// [`solve_strings`]: crate::solve_strings
     pub fn naive() -> Self {
         SolverConfig {
             max_steps: 10_000_000,
@@ -165,7 +151,6 @@ impl SolverConfig {
             forward_check: false,
             cost_bound: false,
             order_by_cost: false,
-            dense_pruning: false,
         }
     }
 }
@@ -245,7 +230,11 @@ pub fn solve_compiled(
     g2: &CompiledGraph,
     config: &SolverConfig,
 ) -> Outcome {
-    solve_named(problem, g1, g2, config)
+    translate(
+        &solve_dense(problem, g1.core(), g2.core(), config, None, None),
+        g1,
+        g2,
+    )
 }
 
 /// Solve `problem` over two graphs of a [`CorpusSession`].
@@ -310,10 +299,9 @@ pub fn solve_in(
 /// rule as [`solve_compiled`]). A solve through a plan builds candidate
 /// tables, pair costs and cost floors identical to the unprepared path,
 /// so matchings, costs, optimality flags and search statistics equal
-/// [`solve_in`] / [`solve_compiled`] /
-/// [`solve_strings`](crate::solve_strings) outcomes — pinned by the
-/// batch differential proptest in `tests/differential_compiled.rs`.
-pub struct PreparedLhs<'a> {
+/// [`solve_in`] / [`solve_compiled`] outcomes — pinned by the batch
+/// differential proptest in `tests/differential_compiled.rs`.
+pub(crate) struct PreparedLhs<'a> {
     problem: Problem,
     core: &'a GraphCore,
     /// Distinct left node labels (with multiplicities, cheap to carry).
@@ -325,7 +313,7 @@ pub struct PreparedLhs<'a> {
 
 impl<'a> PreparedLhs<'a> {
     /// Prepare the left-hand plan for `problem` over a compiled core.
-    pub fn new(problem: Problem, core: &'a GraphCore) -> PreparedLhs<'a> {
+    pub(crate) fn new(problem: Problem, core: &'a GraphCore) -> PreparedLhs<'a> {
         let mut node_label_counts: FxHashMap<Symbol, u32> = FxHashMap::default();
         for v in 0..core.node_count() as u32 {
             *node_label_counts.entry(core.node_label(v)).or_insert(0) += 1;
@@ -343,32 +331,6 @@ impl<'a> PreparedLhs<'a> {
             edge_groups,
         }
     }
-
-    /// The problem this plan was prepared for.
-    pub fn problem(&self) -> Problem {
-        self.problem
-    }
-
-    /// The left compiled core this plan was prepared over.
-    pub fn core(&self) -> &'a GraphCore {
-        self.core
-    }
-}
-
-/// Solve with a prepared left-hand plan.
-///
-/// `g1` must be the carrier of the exact core `lhs` was prepared over
-/// (checked by `debug_assert`), and `g2` must share its interner. The
-/// outcome is identical to [`solve_compiled`]`(lhs.problem(), g1, g2,
-/// config)` in every observable; only the per-call setup cost differs.
-/// [`BatchSolver`] wraps this for session handles.
-pub fn solve_prepared<G1: NamedGraph, G2: NamedGraph>(
-    lhs: &PreparedLhs<'_>,
-    g1: &G1,
-    g2: &G2,
-    config: &SolverConfig,
-) -> Outcome {
-    run_search(lhs.problem, g1, g2, config, Some(lhs))
 }
 
 /// Batched solver over a [`CorpusSession`]: one prepared left-hand graph
@@ -376,8 +338,9 @@ pub fn solve_prepared<G1: NamedGraph, G2: NamedGraph>(
 ///
 /// This is the amortization layer on top of the session path: where
 /// [`solve_in`] pays the full per-pair setup on every call, a
-/// `BatchSolver` builds the left-hand plan ([`PreparedLhs`]) once at
-/// construction and reuses it for every right-hand graph.
+/// `BatchSolver` builds the left-hand plan (indexed by the left graph's
+/// labels) once at construction and reuses it for every right-hand
+/// graph.
 /// [`solve_batch`](BatchSolver::solve_batch) additionally shares one
 /// dense search across rights whose compiled cores are
 /// solver-equivalent and fans distinct solves out across the machine's
@@ -969,37 +932,6 @@ fn memoized_dense(
     memo.insert(key, dense, false)
 }
 
-/// Shared implementation of the compiled entry points: search the cores,
-/// then translate the dense witness through the carriers' id tables.
-fn solve_named<G1: NamedGraph, G2: NamedGraph>(
-    problem: Problem,
-    g1: &G1,
-    g2: &G2,
-    config: &SolverConfig,
-) -> Outcome {
-    run_search(problem, g1, g2, config, None)
-}
-
-/// The one search driver behind every entry point. `prepared`, when
-/// given, must be a plan over `g1`'s core for `problem`; the search then
-/// builds its candidate state through the plan's label indexes (same
-/// tables, cheaper construction).
-fn run_search<G1: NamedGraph, G2: NamedGraph>(
-    problem: Problem,
-    g1: &G1,
-    g2: &G2,
-    config: &SolverConfig,
-    prepared: Option<&PreparedLhs<'_>>,
-) -> Outcome {
-    let c1: &GraphCore = g1;
-    let c2: &GraphCore = g2;
-    translate(
-        &solve_dense(problem, c1, c2, config, prepared, None),
-        g1,
-        g2,
-    )
-}
-
 /// The identifier-free half of a solve: everything the search produces
 /// before the witness is translated back to string ids. A pure function
 /// of `(problem, left core, right core, config)` — element identifiers
@@ -1017,8 +949,8 @@ pub(crate) struct DenseOutcome {
 /// `colors`, when given, must be the WL shape colours
 /// ([`fingerprint::shape_colors_core`]) of `g1` and `g2` — session
 /// entry points pass their memoized arrays. When `None` and the
-/// configuration wants colour pruning, the colours are derived here
-/// (the one-shot paths); pruning decisions read only the colour
+/// problem is bijective, the colours are derived here (the one-shot
+/// paths); pruning decisions read only the colour
 /// equality pattern, which is interner-invariant, so both sources
 /// yield identical searches.
 ///
@@ -1068,7 +1000,7 @@ fn solve_dense(
     // they are a sound pruning signal exactly for the bijective
     // problems; embeddings (subgraph) do not preserve iterated colours.
     let derived: (Vec<u64>, Vec<u64>);
-    let wl_colors = if config.dense_pruning && problem.bijective() {
+    let wl_colors = if problem.bijective() {
         match colors {
             Some(c) => Some(c),
             None => {
@@ -1151,15 +1083,15 @@ fn multiset_leq<T: Ord>(small: &[T], big: &[T]) -> bool {
 const UNASSIGNED: u32 = u32::MAX;
 
 /// Reusable per-thread search allocations: the candidate tables, the
-/// dense pair-cost matrix and the assignment state.
+/// dense pair-cost matrix, the bitset domains and the assignment state.
 ///
-/// Every solve used to allocate these vectors from scratch; across a
-/// batch (the batch solver fans rights out over a fixed thread pool, and
-/// the pipeline's repeated solves stay on their worker thread) the same
-/// thread rebuilds same-shaped tables over and over, so the allocations
-/// are pure overhead. The pool hands the vectors to [`Search::build`],
-/// which **clears and refills** them — every element is rewritten before
-/// use, so reuse cannot leak state between solves and outcomes are
+/// Every solve used to allocate these vectors from scratch; a thread
+/// that solves repeatedly (a batch group on one `par_map` thread, the
+/// pipeline's repeated solves on their worker thread) rebuilds
+/// same-shaped tables over and over, so the allocations are pure
+/// overhead. The pool hands the vectors to [`Search::build`], which
+/// **clears and refills** them — every element is rewritten before use,
+/// so reuse cannot leak state between solves and outcomes are
 /// bit-identical to the allocate-fresh path (pinned, like every engine
 /// change, by the differential tests including search statistics).
 #[derive(Default)]
@@ -1169,10 +1101,7 @@ struct SearchScratch {
     pair_cost: Vec<u64>,
     node_min_cost: Vec<u64>,
     assign: Vec<u32>,
-    used: Vec<bool>,
     cand_buf: Vec<u32>,
-    // Bitset-kernel buffers (filled only under `dense_pruning`); same
-    // clear-and-refill discipline as the vectors above.
     dyn_bits: Vec<u64>,
     wl_bits: Vec<u64>,
     free_bits: Vec<u64>,
@@ -1229,11 +1158,9 @@ struct Search<'a> {
     /// g2 edges grouped by (src, tgt, label) — assignment-independent,
     /// built lazily on the first complete assignment.
     groups2: Option<BTreeMap<(u32, u32, Symbol), Vec<u32>>>,
-    // --- bitset kernel (dense_pruning) -----------------------------------
-    /// `true` when the bitset kernel is active (`config.dense_pruning`).
-    pruning: bool,
-    /// `true` when WL-colour pruning is active (bitset kernel + bijective
-    /// problem + colour arrays supplied/derived).
+    // --- bitset domains --------------------------------------------------
+    /// `true` when WL-colour pruning is active (bijective problem, colour
+    /// arrays supplied or derived).
     wl_active: bool,
     /// `u64` words per right-hand bitset row (`n2.div_ceil(64)`).
     words: usize,
@@ -1249,8 +1176,8 @@ struct Search<'a> {
     /// these masks, so they prune *provably doomed* subtrees only —
     /// outcomes are untouched, statistics shrink.
     wl_bits: Vec<u64>,
-    /// Bit `j` ⇔ right node `j` is unassigned (the bitset mirror of
-    /// `used`, kept so domain sizes are `popcount(dyn & free)`).
+    /// Bit `j` ⇔ right node `j` is unassigned, so domain sizes are
+    /// `popcount(dyn & free)`.
     free_bits: Vec<u64>,
     /// Per-assignment scratch row for the allowed-survivor mask built
     /// over `g2.neighbours(j)`.
@@ -1258,15 +1185,14 @@ struct Search<'a> {
     /// Left nodes ordered most-constrained-first (smallest pruned
     /// domain, then rarest WL colour class, then index) — the scan order
     /// of variable selection, chosen so wipeouts surface on the first
-    /// few probes. Selection still minimizes the legacy MRV key, so the
-    /// chosen variable (and hence the witness) is scan-order-invariant.
+    /// few probes. Selection still minimizes the colour-blind MRV key, so
+    /// the chosen variable (and hence the witness) is scan-order-invariant.
     seed_order: Vec<u32>,
     /// Undo log for `dyn_bits`: `(left node, word index, previous word)`
     /// per changed word; `descend` truncates to its saved mark.
     trail: Vec<(u32, u32, u64)>,
     // --- search state ----------------------------------------------------
     assign: Vec<u32>,
-    used: Vec<bool>,
     /// Build-time per-node candidate buffer, carried only so
     /// [`Search::into_scratch`] can return it to the per-thread pool.
     cand_buf: Vec<u32>,
@@ -1307,9 +1233,8 @@ impl<'a> Search<'a> {
         let n2 = g2.node_count();
         let bijective = problem.bijective();
         let optimizing = problem.optimizing();
-        let pruning = config.dense_pruning;
-        let wl_active = pruning && wl_colors.is_some();
-        let words = if pruning { n2.div_ceil(64) } else { 0 };
+        let wl_active = wl_colors.is_some();
+        let words = n2.div_ceil(64);
         if let Some((c1, c2)) = wl_colors {
             debug_assert_eq!(c1.len(), n1, "left colour array length");
             debug_assert_eq!(c2.len(), n2, "right colour array length");
@@ -1342,7 +1267,6 @@ impl<'a> Search<'a> {
             mut pair_cost,
             mut node_min_cost,
             mut assign,
-            mut used,
             cand_buf: mut scratch,
             mut dyn_bits,
             mut wl_bits,
@@ -1364,8 +1288,6 @@ impl<'a> Search<'a> {
         node_min_cost.reserve(n1);
         assign.clear();
         assign.resize(n1, UNASSIGNED);
-        used.clear();
-        used.resize(n2, false);
         scratch.clear();
         scratch.reserve(n2);
         dyn_bits.clear();
@@ -1374,15 +1296,13 @@ impl<'a> Search<'a> {
         mask_buf.clear();
         seed_order.clear();
         trail.clear();
-        if pruning {
-            dyn_bits.resize(n1 * words, 0);
-            // Bits past n2 in the last word stay set but are never set in
-            // any dyn/wl row, and every read ANDs against one.
-            free_bits.resize(words, u64::MAX);
-            mask_buf.resize(words, 0);
-            if wl_active {
-                wl_bits.resize(n1 * words, 0);
-            }
+        dyn_bits.resize(n1 * words, 0);
+        // Bits past n2 in the last word stay set but are never set in
+        // any dyn/wl row, and every read ANDs against one.
+        free_bits.resize(words, u64::MAX);
+        mask_buf.resize(words, 0);
+        if wl_active {
+            wl_bits.resize(n1 * words, 0);
         }
         // The per-pair candidate filter, shared verbatim by both
         // construction paths.
@@ -1439,31 +1359,29 @@ impl<'a> Search<'a> {
                 // problems, where the sort would be an all-ties no-op).
                 scratch.sort_by_key(|&j| pair_cost[i as usize * n2 + j as usize]);
             }
-            if pruning {
-                let row = i as usize * words;
+            let row = i as usize * words;
+            for &j in scratch.iter() {
+                dyn_bits[row + (j as usize >> 6)] |= 1u64 << (j & 63);
+            }
+            if let Some((c1, c2)) = wl_colors {
+                let mut wl_min = u64::MAX;
                 for &j in scratch.iter() {
-                    dyn_bits[row + (j as usize >> 6)] |= 1u64 << (j & 63);
-                }
-                if let Some((c1, c2)) = wl_colors {
-                    let mut wl_min = u64::MAX;
-                    for &j in scratch.iter() {
-                        if c1[i as usize] == c2[j as usize] {
-                            wl_bits[row + (j as usize >> 6)] |= 1u64 << (j & 63);
-                            if optimizing {
-                                wl_min = wl_min.min(pair_cost[i as usize * n2 + j as usize]);
-                            }
+                    if c1[i as usize] == c2[j as usize] {
+                        wl_bits[row + (j as usize >> 6)] |= 1u64 << (j & 63);
+                        if optimizing {
+                            wl_min = wl_min.min(pair_cost[i as usize * n2 + j as usize]);
                         }
                     }
-                    if optimizing {
-                        // Tightened admissible floor: every feasible
-                        // bijection maps `i` inside its colour class, so
-                        // the per-node minimum may ignore
-                        // colour-mismatched pairs. Raising the floor only
-                        // skips branches whose completions all cost at
-                        // least the incumbent — the strict-improvement
-                        // sequence, and hence the witness, is unchanged.
-                        min_cost = wl_min;
-                    }
+                }
+                if optimizing {
+                    // Tightened admissible floor: every feasible
+                    // bijection maps `i` inside its colour class, so the
+                    // per-node minimum may ignore colour-mismatched
+                    // pairs. Raising the floor only skips branches whose
+                    // completions all cost at least the incumbent — the
+                    // strict-improvement sequence, and hence the
+                    // witness, is unchanged.
+                    min_cost = wl_min;
                 }
             }
             node_min_cost.push(if min_cost == u64::MAX { 0 } else { min_cost });
@@ -1471,33 +1389,31 @@ impl<'a> Search<'a> {
             cand_start.push(cand_flat.len() as u32);
         }
 
-        if pruning {
-            // Seed order: most-constrained-first over the *pruned* static
-            // domains (then rarest right-hand colour class, then index).
-            // This is only the scan order of variable selection — the MRV
-            // minimum itself is scan-order-invariant — so it accelerates
-            // wipeout detection without perturbing any outcome.
-            let mut color_count: FxHashMap<u64, u32> = FxHashMap::default();
-            if let Some((_, c2)) = wl_colors {
-                for &c in c2 {
-                    *color_count.entry(c).or_insert(0) += 1;
-                }
+        // Seed order: most-constrained-first over the *pruned* static
+        // domains (then rarest right-hand colour class, then index).
+        // This is only the scan order of variable selection — the MRV
+        // minimum itself is scan-order-invariant — so it accelerates
+        // wipeout detection without perturbing any outcome.
+        let mut color_count: FxHashMap<u64, u32> = FxHashMap::default();
+        if let Some((_, c2)) = wl_colors {
+            for &c in c2 {
+                *color_count.entry(c).or_insert(0) += 1;
             }
-            seed_order.extend(0..n1 as u32);
-            seed_order.sort_by_key(|&i| {
-                let row = i as usize * words;
-                let bits = if wl_active {
-                    &wl_bits[row..row + words]
-                } else {
-                    &dyn_bits[row..row + words]
-                };
-                let domain: u32 = bits.iter().map(|w| w.count_ones()).sum();
-                let class = wl_colors
-                    .map(|(c1, _)| color_count.get(&c1[i as usize]).copied().unwrap_or(0))
-                    .unwrap_or(0);
-                (domain, class, i)
-            });
         }
+        seed_order.extend(0..n1 as u32);
+        seed_order.sort_by_key(|&i| {
+            let row = i as usize * words;
+            let bits = if wl_active {
+                &wl_bits[row..row + words]
+            } else {
+                &dyn_bits[row..row + words]
+            };
+            let domain: u32 = bits.iter().map(|w| w.count_ones()).sum();
+            let class = wl_colors
+                .map(|(c1, _)| color_count.get(&c1[i as usize]).copied().unwrap_or(0))
+                .unwrap_or(0);
+            (domain, class, i)
+        });
 
         // Admissible edge-cost floor: each g1 edge costs at least the
         // minimum mismatch against any same-label g2 edge. (Per-edge
@@ -1569,7 +1485,6 @@ impl<'a> Search<'a> {
             node_min_cost,
             edge_cost_floor,
             groups2: None,
-            pruning,
             wl_active,
             words,
             dyn_bits,
@@ -1579,7 +1494,6 @@ impl<'a> Search<'a> {
             seed_order,
             trail,
             assign,
-            used,
             cand_buf: scratch,
             partial_cost: 0,
             unassigned_floor,
@@ -1617,7 +1531,6 @@ impl<'a> Search<'a> {
             pair_cost: reclaim(self.pair_cost),
             node_min_cost: reclaim(self.node_min_cost),
             assign: reclaim(self.assign),
-            used: reclaim(self.used),
             cand_buf: reclaim(self.cand_buf),
             dyn_bits: reclaim(self.dyn_bits),
             wl_bits: reclaim(self.wl_bits),
@@ -1635,8 +1548,7 @@ impl<'a> Search<'a> {
         }
         // A node with no colour-compatible candidate is just as
         // infeasible for a bijective problem: colour-preserving maps
-        // cannot leave the colour class. The legacy path would search
-        // and find nothing — outcome identical, statistics smaller.
+        // cannot leave the colour class.
         if self.wl_active {
             for i in 0..self.n1 {
                 let row = i * self.words;
@@ -1678,29 +1590,18 @@ impl<'a> Search<'a> {
         let (start, end) = self.candidates(var);
         for ci in start..end {
             let j = self.cand_flat[ci];
-            if self.pruning {
-                // One word-indexed probe replaces the legacy `used` test
-                // and the per-neighbour `consistent` walk: the dynamic
-                // row already encodes adjacency consistency with every
-                // assigned neighbour (and stays static with
-                // `forward_check` off, reproducing naive semantics).
-                if !self.free_bit(j) || !self.dyn_bit(var, j) {
-                    continue;
-                }
-                // A colour-mismatched pair heads a provably solution-free
-                // subtree (no colour-preserving bijection extends it), so
-                // it is skipped before the step counter: outcomes are
-                // untouched, statistics shrink deterministically.
-                if self.wl_active && !self.wl_bit(var, j) {
-                    continue;
-                }
-            } else {
-                if self.used[j as usize] {
-                    continue;
-                }
-                if self.config.forward_check && !self.consistent(var, j) {
-                    continue;
-                }
+            // The dynamic row already encodes adjacency consistency with
+            // every assigned neighbour (and stays static with
+            // `forward_check` off, reproducing naive semantics).
+            if !self.free_bit(j) || !self.dyn_bit(var, j) {
+                continue;
+            }
+            // A colour-mismatched pair heads a provably solution-free
+            // subtree (no colour-preserving bijection extends it), so it
+            // is skipped before the step counter: outcomes are untouched,
+            // statistics shrink deterministically.
+            if self.wl_active && !self.wl_bit(var, j) {
+                continue;
             }
             self.stats.steps += 1;
             if self.stats.steps > self.config.max_steps {
@@ -1720,27 +1621,21 @@ impl<'a> Search<'a> {
                 }
             }
             self.assign[var as usize] = j;
-            self.used[j as usize] = true;
             self.partial_cost += pair;
             self.unassigned_floor -= self.node_min_cost[var as usize];
             let trail_mark = self.trail.len();
-            if self.pruning {
-                self.free_bits[j as usize >> 6] &= !(1u64 << (j & 63));
-                if self.config.forward_check {
-                    self.restrict_neighbours(var, j);
-                }
+            self.free_bits[j as usize >> 6] &= !(1u64 << (j & 63));
+            if self.config.forward_check {
+                self.restrict_neighbours(var, j);
             }
             let stop = self.descend(depth + 1);
-            if self.pruning {
-                while self.trail.len() > trail_mark {
-                    // provlint: allow(panic-in-lib) -- trail_mark was captured from this trail before descent
-                    let (n, w, old) = self.trail.pop().expect("trail mark within bounds");
-                    self.dyn_bits[n as usize * self.words + w as usize] = old;
-                }
-                self.free_bits[j as usize >> 6] |= 1u64 << (j & 63);
+            while self.trail.len() > trail_mark {
+                // provlint: allow(panic-in-lib) -- trail_mark was captured from this trail before descent
+                let (n, w, old) = self.trail.pop().expect("trail mark within bounds");
+                self.dyn_bits[n as usize * self.words + w as usize] = old;
             }
+            self.free_bits[j as usize >> 6] |= 1u64 << (j & 63);
             self.assign[var as usize] = UNASSIGNED;
-            self.used[j as usize] = false;
             self.partial_cost -= pair;
             self.unassigned_floor += self.node_min_cost[var as usize];
             if stop {
@@ -1759,11 +1654,12 @@ impl<'a> Search<'a> {
     /// Survivors are necessarily g2-neighbours of `j` — `n` is adjacent
     /// to `var`, so some direction of `g1.pair_labels` is non-empty and
     /// any image of `n` must carry the matching g2 edge(s) to `j` — so
-    /// the allowed mask is built over `g2.neighbours(j)` only. The
-    /// resulting rows equal exactly the legacy `consistent` predicate
-    /// over the currently assigned set (induction over the assignment
-    /// stack), which is what keeps step counts identical to the vector
-    /// path modulo the WL skips.
+    /// the allowed mask is built over `g2.neighbours(j)` only. By
+    /// induction over the assignment stack, bit `m` of row `n` is set
+    /// exactly when `n → m` is edge-count-compatible (`pair_edges_ok`,
+    /// both directions) with every assigned neighbour of `n`: the same
+    /// consistency the string oracle checks per candidate, which is what
+    /// keeps step counts equal to its counts modulo the WL skips.
     fn restrict_neighbours(&mut self, var: u32, j: u32) {
         let g1 = self.g1;
         let g2 = self.g2;
@@ -1793,52 +1689,18 @@ impl<'a> Search<'a> {
     }
 
     /// Minimum-remaining-values with a preference for nodes adjacent to the
-    /// already-assigned frontier.
-    fn select_variable(&self) -> Option<u32> {
-        if self.pruning {
-            return self.select_variable_bitset();
-        }
-        let mut best: Option<(usize, usize, u32)> = None; // (remaining, -adjacency, var)
-        for i in 0..self.n1 as u32 {
-            if self.assign[i as usize] != UNASSIGNED {
-                continue;
-            }
-            let mut remaining = 0usize;
-            let (start, end) = self.candidates(i);
-            for ci in start..end {
-                let j = self.cand_flat[ci];
-                if !self.used[j as usize] && (!self.config.forward_check || self.consistent(i, j)) {
-                    remaining += 1;
-                }
-            }
-            if remaining == 0 {
-                return None;
-            }
-            let adjacency = self
-                .g1
-                .neighbours(i)
-                .iter()
-                .filter(|&&n| self.assign[n as usize] != UNASSIGNED)
-                .count();
-            let key = (remaining, usize::MAX - adjacency, i);
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
-            }
-        }
-        best.map(|(_, _, v)| v)
-    }
-
-    /// Bitset MRV: domain sizes are `popcount(dyn & free)` per row word
-    /// instead of a candidate walk with per-pair consistency probes.
+    /// already-assigned frontier. Domain sizes are `popcount(dyn & free)`
+    /// per row word.
     ///
-    /// The MRV key counts the **unpruned** dynamic domain — identical to
-    /// the legacy count — so the selected variable, and with it the
-    /// witness, never depends on the WL signal; colours only contribute
-    /// the early `None` when some node's colour-compatible domain wipes
-    /// out (a state with no feasible completion either way). Scanning in
-    /// `seed_order` surfaces wipeouts early; the minimum itself is
-    /// scan-order-invariant because the key totalizes on the node index.
-    fn select_variable_bitset(&self) -> Option<u32> {
+    /// The MRV key counts the dynamic domain **before** WL pruning — the
+    /// count the string oracle's candidate walk makes — so the selected
+    /// variable, and with it the witness, never depends on the WL signal;
+    /// colours only contribute the early `None` when some node's
+    /// colour-compatible domain wipes out (a state with no feasible
+    /// completion either way). Scanning in `seed_order` surfaces wipeouts
+    /// early; the minimum itself is scan-order-invariant because the key
+    /// totalizes on the node index.
+    fn select_variable(&self) -> Option<u32> {
         let mut best: Option<(usize, usize, u32)> = None; // (remaining, -adjacency, var)
         for &i in &self.seed_order {
             if self.assign[i as usize] != UNASSIGNED {
@@ -1869,20 +1731,6 @@ impl<'a> Search<'a> {
             }
         }
         best.map(|(_, _, v)| v)
-    }
-
-    /// Is mapping node `i` → `j` consistent with every assigned neighbour?
-    fn consistent(&self, i: u32, j: u32) -> bool {
-        for &n in self.g1.neighbours(i) {
-            let jn = self.assign[n as usize];
-            if jn == UNASSIGNED {
-                continue;
-            }
-            if !self.pair_edges_ok(i, n, j, jn) || !self.pair_edges_ok(n, i, jn, j) {
-                return false;
-            }
-        }
-        true
     }
 
     /// Check edge-count compatibility for the ordered pair (a→b) vs (x→y):
@@ -2013,15 +1861,14 @@ fn edge_pair_cost(problem: Problem, p1: &[(Symbol, Symbol)], p2: &[(Symbol, Symb
 #[doc(hidden)]
 #[derive(Debug)]
 pub struct DebugDomains {
-    /// Legacy vector candidates per left node, in search order
-    /// (cost-sorted when `order_by_cost` applies).
+    /// Candidate list per left node, in search order (cost-sorted when
+    /// `order_by_cost` applies).
     pub candidates: Vec<Vec<u32>>,
-    /// Bitset domain per left node, decoded to ascending right ids;
-    /// empty when `dense_pruning` is off.
+    /// Bitset domain per left node, decoded to ascending right ids.
     pub bitset: Vec<Vec<u32>>,
     /// WL-colour-surviving candidates per left node (ascending right
-    /// ids); `None` when colour pruning is inactive for this
-    /// problem/config (non-bijective problem or pruning off).
+    /// ids); `None` for the non-bijective problem, where colour pruning
+    /// is inactive.
     pub wl: Option<Vec<Vec<u32>>>,
 }
 
@@ -2043,7 +1890,7 @@ pub fn debug_domains(
     let core1: &GraphCore = &c1;
     let core2: &GraphCore = &c2;
     let derived: (Vec<u64>, Vec<u64>);
-    let wl_colors = if config.dense_pruning && problem.bijective() {
+    let wl_colors = if problem.bijective() {
         derived = (shape_colors_core(core1), shape_colors_core(core2));
         Some((derived.0.as_slice(), derived.1.as_slice()))
     } else {
@@ -2073,11 +1920,7 @@ pub fn debug_domains(
             .filter(|&j| row[j as usize >> 6] >> (j & 63) & 1 != 0)
             .collect()
     };
-    let bitset = if search.pruning {
-        (0..n1).map(|i| decode(&search.dyn_bits, i)).collect()
-    } else {
-        Vec::new()
-    };
+    let bitset = (0..n1).map(|i| decode(&search.dyn_bits, i)).collect();
     let wl = search
         .wl_active
         .then(|| (0..n1).map(|i| decode(&search.wl_bits, i)).collect());
@@ -2489,9 +2332,12 @@ mod tests {
 
     #[test]
     fn pruning_reduces_search_effort() {
-        // A chain matched against a copy whose nodes are inserted in
+        // A chain embedded into a copy whose nodes are inserted in
         // reverse order: the naive search's candidate order is maximally
         // wrong, while degree filtering + forward checking cut through.
+        // Embedding, because WL colours (always on, and alone enough to
+        // separate a directed chain's positions) prune only bijective
+        // problems, so this isolates the switchable rules.
         let chain = |p: &str, order: &mut dyn Iterator<Item = usize>| {
             g(|g| {
                 for i in order {
@@ -2510,8 +2356,8 @@ mod tests {
         };
         let a = chain("a", &mut (0..7));
         let b = chain("b", &mut (0..7).rev());
-        let smart = solve(Problem::Similarity, &a, &b, &SolverConfig::default());
-        let naive = solve(Problem::Similarity, &a, &b, &SolverConfig::naive());
+        let smart = solve(Problem::Subgraph, &a, &b, &SolverConfig::default());
+        let naive = solve(Problem::Subgraph, &a, &b, &SolverConfig::naive());
         assert!(smart.matching.is_some() && naive.matching.is_some());
         assert!(
             smart.stats.steps < naive.stats.steps,

@@ -34,19 +34,18 @@
 //! whole benchmark pipeline: similarity classification, generalization,
 //! the comparison stage — should compile every graph once into a
 //! [`provgraph::compiled::CorpusSession`] and use the **session path**
-//! ([`solve_in`] and the `find_*_in` helpers over
-//! [`provgraph::compiled::GraphId`] handles); each solve then pays zero
-//! compile or interning cost. [`solve_compiled`] serves the same purpose
-//! for borrow-based [`provgraph::compiled::CompiledGraph`]s compiled by
-//! the caller.
+//! ([`solve_in`] over [`provgraph::compiled::GraphId`] handles); each
+//! solve then pays zero compile or interning cost. [`solve_compiled`]
+//! serves the same purpose for borrow-based
+//! [`provgraph::compiled::CompiledGraph`]s compiled by the caller.
 //!
 //! Callers that match one *fixed* left-hand graph against many right-hand
 //! graphs — a similarity-class representative confirmed against every
 //! bucket member, a generalized graph replayed across matrix cells —
 //! should use the **batch path**: [`BatchSolver`] (or the [`solve_batch_in`]
-//! one-shot wrapper) prepares the left-hand search plan ([`PreparedLhs`])
-//! once and reuses it for every right-hand solve, fanning the batch out
-//! over the machine's cores. Batch outcomes are identical to per-pair
+//! one-shot wrapper) prepares the left-hand search plan once and reuses
+//! it for every right-hand solve, fanning the batch out over the
+//! machine's cores. Batch outcomes are identical to per-pair
 //! [`solve_in`] calls in every observable, including search statistics.
 //!
 //! Callers replaying the same pairs across *separate* calls — the
@@ -63,22 +62,21 @@
 //! (see [`persist`]). Memo-on outcomes are byte-identical to memo-off
 //! ones, search statistics included.
 //!
-//! Every dense path above runs the **bitset-pruned kernel** by default
-//! ([`SolverConfig::dense_pruning`]): candidate domains are `u64`-block
-//! bitsets intersected word-parallel as assignments extend, and for
-//! bijective problems the session's memoized Weisfeiler–Lehman shape
-//! colours pre-filter pairs whose colour classes can never correspond
-//! (see the engine module docs for the design). Pruning is
-//! outcome-neutral — matchings, costs and optimality flags are
-//! unchanged — while [`SolverStats`] shrinks deterministically.
+//! Every dense path above runs one kernel, the **bitset/WL kernel**:
+//! candidate domains are `u64`-block bitsets intersected word-parallel
+//! as assignments extend, and for bijective problems the session's
+//! memoized Weisfeiler–Lehman shape colours pre-filter pairs whose
+//! colour classes can never correspond (see the engine module docs for
+//! the design). Pruning is outcome-neutral — matchings, costs and
+//! optimality flags are unchanged — while [`SolverStats`] shrinks
+//! deterministically.
 //!
-//! The legacy **string path** ([`solve_strings`]) searches
-//! [`PropertyGraph`] directly. It is retained as the reference
-//! implementation for differential tests and as the baseline of the
-//! solver ablation benchmark. All paths provably return identical
-//! outcomes (matchings, costs, optimality); with `dense_pruning`
-//! disabled the compiled paths additionally reproduce the string path's
-//! search statistics bit-for-bit (`tests/differential_compiled.rs`).
+//! The **string path** ([`solve_strings`]) searches [`PropertyGraph`]
+//! directly. It is the one independent reference implementation for
+//! differential tests and the baseline of the solver ablation
+//! benchmark. All paths return identical outcomes (matchings, costs,
+//! optimality), and the compiled paths' search statistics never exceed
+//! the string path's (`tests/differential_compiled.rs`).
 //!
 //! # Example
 //!
@@ -118,7 +116,7 @@ pub use assignment::min_cost_assignment;
 pub use engine::{debug_domains, DebugDomains};
 pub use engine::{
     solve, solve_batch_in, solve_batch_in_memo, solve_compiled, solve_in, solve_in_memo,
-    solve_prepared, BatchSolver, PreparedLhs, Problem, SolveMemo, SolverConfig, SolverStats,
+    BatchSolver, Problem, SolveMemo, SolverConfig, SolverStats,
 };
 pub use matching::{Matching, Outcome};
 pub use persist::{
@@ -127,7 +125,6 @@ pub use persist::{
 };
 pub use strpath::solve_strings;
 
-use provgraph::compiled::{CorpusSession, GraphId};
 use provgraph::PropertyGraph;
 
 /// Decide *similarity* (paper Listing 3): a bijection preserving structure
@@ -159,42 +156,6 @@ pub fn find_generalization(g1: &PropertyGraph, g2: &PropertyGraph) -> Option<Mat
 /// Returns `None` when no structure/label-preserving embedding exists.
 pub fn find_subgraph(g1: &PropertyGraph, g2: &PropertyGraph) -> Option<Matching> {
     solve(Problem::Subgraph, g1, g2, &SolverConfig::default()).matching
-}
-
-/// [`find_similarity`] over two members of a [`CorpusSession`] — the
-/// amortized path for similarity classification (no compile per call).
-pub fn find_similarity_in(session: &CorpusSession, g1: GraphId, g2: GraphId) -> Option<Matching> {
-    solve_in(
-        Problem::Similarity,
-        session,
-        g1,
-        g2,
-        &SolverConfig::default(),
-    )
-    .matching
-}
-
-/// [`find_generalization`] over two members of a [`CorpusSession`] — the
-/// amortized path for the generalization stage (paper §3.4).
-pub fn find_generalization_in(
-    session: &CorpusSession,
-    g1: GraphId,
-    g2: GraphId,
-) -> Option<Matching> {
-    solve_in(
-        Problem::Generalization,
-        session,
-        g1,
-        g2,
-        &SolverConfig::default(),
-    )
-    .matching
-}
-
-/// [`find_subgraph`] over two members of a [`CorpusSession`] — the
-/// amortized path for the comparison stage (paper Listing 4).
-pub fn find_subgraph_in(session: &CorpusSession, g1: GraphId, g2: GraphId) -> Option<Matching> {
-    solve_in(Problem::Subgraph, session, g1, g2, &SolverConfig::default()).matching
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! computed it. A warm replay returns byte-identically what the fresh
 //! search would have, search statistics included.
 //!
-//! # `SolveCacheFile` format (version 1)
+//! # `SolveCacheFile` format (version 2)
 //!
 //! Little-endian throughout, mirroring the session snapshot format:
 //!
@@ -34,7 +34,7 @@
 //! rhs        u128      content hash of the right core
 //! max_steps  u64       search budget (part of the key!)
 //! flags      u8        bit0 degree_filter · bit1 forward_check · bit2 cost_bound
-//!                      · bit3 order_by_cost · bit4 dense_pruning; bits 5–7 zero
+//!                      · bit3 order_by_cost; bits 4–7 zero
 //! outcome    u8        bit0 optimal · bit1 solution present; bits 2–7 zero
 //! stats      3×u64     steps, backtracks, solutions
 //! solution   --        present only when outcome bit1 is set:
@@ -69,8 +69,11 @@ use crate::engine::{DenseOutcome, MemoKey, Problem, SolveMemo, SolverConfig, Sol
 pub const SOLVE_CACHE_MAGIC: [u8; 4] = *b"PMSC";
 
 /// Current solve-cache format version. Bumped on any byte-layout
-/// change; readers reject every other version rather than guess.
-pub const SOLVE_CACHE_VERSION: u32 = 1;
+/// change, and whenever the set of valid keys changes (version 2 dropped
+/// a config flag, so version-1 statistics came from a search this build
+/// no longer runs); readers reject every other version rather than
+/// guess.
+pub const SOLVE_CACHE_VERSION: u32 = 2;
 
 /// Failure to load (or write) a solve-cache file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -176,8 +179,7 @@ fn encode_key(out: &mut Vec<u8>, key: &MemoKey) {
     let flags = u8::from(key.config.degree_filter)
         | u8::from(key.config.forward_check) << 1
         | u8::from(key.config.cost_bound) << 2
-        | u8::from(key.config.order_by_cost) << 3
-        | u8::from(key.config.dense_pruning) << 4;
+        | u8::from(key.config.order_by_cost) << 3;
     out.push(flags);
 }
 
@@ -299,7 +301,7 @@ fn decode_entry(r: &mut Reader<'_>) -> Result<(MemoKey, DenseOutcome), SolveCach
     let rhs = r.u128()?;
     let max_steps = r.u64()?;
     let flags = r.u8()?;
-    if flags & !0b1_1111 != 0 {
+    if flags & !0b1111 != 0 {
         return Err(corrupt(format!(
             "reserved config flag bits set ({flags:#x})"
         )));
@@ -310,7 +312,6 @@ fn decode_entry(r: &mut Reader<'_>) -> Result<(MemoKey, DenseOutcome), SolveCach
         forward_check: flags & 2 != 0,
         cost_bound: flags & 4 != 0,
         order_by_cost: flags & 8 != 0,
-        dense_pruning: flags & 16 != 0,
     };
     let oflags = r.u8()?;
     if oflags & !0b11 != 0 {
@@ -650,15 +651,20 @@ mod tests {
             load_cache_bytes(&memo, b"nope"),
             Err(SolveCacheError::BadMagic)
         );
-        let mut future = cache_bytes(&memo);
-        future[4..8].copy_from_slice(&(SOLVE_CACHE_VERSION + 1).to_le_bytes());
-        assert_eq!(
-            load_cache_bytes(&memo, &future),
-            Err(SolveCacheError::UnsupportedVersion {
-                found: SOLVE_CACHE_VERSION + 1,
-                supported: SOLVE_CACHE_VERSION,
-            })
-        );
+        // A future version, and version 1, whose keys carried a config
+        // flag this build no longer has: replaying its statistics would
+        // report a search this build never ran.
+        for found in [SOLVE_CACHE_VERSION + 1, 1] {
+            let mut skewed = cache_bytes(&memo);
+            skewed[4..8].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                load_cache_bytes(&memo, &skewed),
+                Err(SolveCacheError::UnsupportedVersion {
+                    found,
+                    supported: SOLVE_CACHE_VERSION,
+                })
+            );
+        }
         assert_eq!(memo.len(), 0, "rejected loads must leave the memo cold");
     }
 
@@ -700,17 +706,31 @@ mod tests {
     #[test]
     fn rejects_trailing_bytes() {
         let (memo, _) = populated_memo();
-        let mut bytes = cache_bytes(&memo);
-        let hash_start = 8;
-        bytes.push(0);
-        // Re-stamp the checksum so only the trailing-byte check can fire.
-        let fixed = payload_hash(&bytes[16..]);
-        bytes[hash_start..16].copy_from_slice(&fixed.to_le_bytes());
-        let fresh = SolveMemo::new();
-        assert!(matches!(
-            load_cache_bytes(&fresh, &bytes),
-            Err(SolveCacheError::Corrupt { .. })
-        ));
+        let pristine = cache_bytes(&memo);
+        let mut trailing = pristine.clone();
+        trailing.push(0);
+        // The first entry's config flags byte follows the 24-byte header
+        // and its problem tag, two content hashes and budget. Every bit
+        // from 4 up is reserved; bit 4 was a flag in version 1.
+        let flags_at = 24 + 1 + 16 + 16 + 8;
+        let mut reserved_flag = pristine;
+        reserved_flag[flags_at] |= 1 << 4;
+        for (mut bytes, reason) in [
+            (trailing, "trailing bytes"),
+            (reserved_flag, "reserved config flag bits"),
+        ] {
+            // Re-stamp the checksum so only the structural check can fire.
+            let fixed = payload_hash(&bytes[16..]);
+            bytes[8..16].copy_from_slice(&fixed.to_le_bytes());
+            let fresh = SolveMemo::new();
+            match load_cache_bytes(&fresh, &bytes) {
+                Err(SolveCacheError::Corrupt { detail }) => {
+                    assert!(detail.contains(reason), "{reason}: got {detail}")
+                }
+                other => panic!("{reason}: expected Corrupt, got {other:?}"),
+            }
+            assert_eq!(fresh.len(), 0, "a rejected load must leave the memo cold");
+        }
     }
 
     #[test]

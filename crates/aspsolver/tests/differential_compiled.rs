@@ -9,22 +9,16 @@
 //! lets the string path serve as the reference implementation while the
 //! compiled path serves production traffic.
 //!
-//! # What is pinned, and under which configuration
+//! # What is pinned
 //!
-//! The bitset-pruned kernel (`SolverConfig::dense_pruning`, default on)
-//! is **outcome-neutral but statistics-improving**: WL-colour skips
-//! remove provably solution-free work before the step counter. The
-//! invariant split is therefore:
+//! The compiled engine's bitset/WL kernel is **outcome-neutral but
+//! statistics-improving**: WL-colour skips remove provably solution-free
+//! work before the step counter. The invariant split is therefore:
 //!
-//! - **every configuration**: matchings, costs, optimality flags equal
-//!   the string oracle's;
-//! - **`dense_pruning: false`**: search statistics are additionally
-//!   bit-equal to the oracle's (the compiled representation is a pure
-//!   representation change);
-//! - **`dense_pruning: true`**: statistics are deterministic, never
-//!   larger than the unpruned path's, and identical across the one-shot
-//!   / session / batch / memo paths (asserted against each other, not
-//!   against the oracle).
+//! - **outcomes**: matchings, costs and optimality flags equal the
+//!   string oracle's under every configuration;
+//! - **statistics**: deterministic, never larger than the oracle's, and
+//!   identical across the one-shot, session, batch and memo paths.
 
 use proptest::prelude::*;
 use provgraph::compiled::{CompiledGraph, CorpusSession, GraphId, Interner};
@@ -249,13 +243,6 @@ proptest! {
             // Bitset kernel with static domains (no forward propagation).
             SolverConfig { forward_check: false, ..SolverConfig::default() },
             SolverConfig { cost_bound: false, order_by_cost: false, ..SolverConfig::default() },
-            // The unpruned dense path (the ablation baseline).
-            SolverConfig { dense_pruning: false, ..SolverConfig::default() },
-            SolverConfig {
-                dense_pruning: false,
-                forward_check: false,
-                ..SolverConfig::default()
-            },
         ];
         for config in &configs {
             for problem in ALL_PROBLEMS {
@@ -264,22 +251,16 @@ proptest! {
         }
     }
 
-    /// With pruning disabled, step/backtrack statistics line up exactly —
-    /// the compiled engine is then a representation change, not a
-    /// search-order change. With pruning enabled (the default), the
-    /// outcome is still oracle-identical while the statistics are
-    /// deterministic and never worse than the unpruned path's.
+    /// The compiled engine explores no more than the oracle: its outcome
+    /// is oracle-identical while its statistics are deterministic and
+    /// never worse than the string path's, which checks consistency per
+    /// candidate and has no colour signal.
     #[test]
     fn engines_explore_identically(g in arb_graph(5), h in arb_graph(5)) {
-        let base = SolverConfig { dense_pruning: false, ..SolverConfig::default() };
+        let config = SolverConfig::default();
         for problem in ALL_PROBLEMS {
-            let unpruned = solve(problem, &g, &h, &base);
-            let strings = solve_strings(problem, &g, &h, &base);
-            prop_assert_eq!(
-                unpruned.stats, strings.stats,
-                "{:?}: unpruned search statistics diverge from the oracle", problem
-            );
-            let pruned = solve(problem, &g, &h, &SolverConfig::default());
+            let strings = solve_strings(problem, &g, &h, &config);
+            let pruned = solve(problem, &g, &h, &config);
             prop_assert_eq!(
                 &pruned.matching, &strings.matching,
                 "{:?}: pruned matching diverges from the oracle", problem
@@ -289,16 +270,16 @@ proptest! {
                 "{:?}: pruned optimality diverges from the oracle", problem
             );
             prop_assert!(
-                pruned.stats.steps <= unpruned.stats.steps,
+                pruned.stats.steps <= strings.stats.steps,
                 "{:?}: pruning must never add steps ({} > {})",
-                problem, pruned.stats.steps, unpruned.stats.steps
+                problem, pruned.stats.steps, strings.stats.steps
             );
             prop_assert!(
-                pruned.stats.backtracks <= unpruned.stats.backtracks,
+                pruned.stats.backtracks <= strings.stats.backtracks,
                 "{:?}: pruning must never add backtracks ({} > {})",
-                problem, pruned.stats.backtracks, unpruned.stats.backtracks
+                problem, pruned.stats.backtracks, strings.stats.backtracks
             );
-            let replay = solve(problem, &g, &h, &SolverConfig::default());
+            let replay = solve(problem, &g, &h, &config);
             prop_assert_eq!(
                 pruned.stats, replay.stats,
                 "{:?}: pruned statistics must be deterministic", problem
@@ -308,9 +289,9 @@ proptest! {
 
     /// The corpus-session path returns outcomes identical to **both** the
     /// string oracle and the borrow-based compiled path — matchings,
-    /// costs and optimality always; statistics to the oracle with
-    /// pruning off, and across compiled paths (memoized session colours
-    /// vs one-shot colour derivation) with pruning on — on every ordered
+    /// costs and optimality always; statistics bounded by the oracle's,
+    /// and equal across compiled paths (memoized session colours vs
+    /// one-shot colour derivation) — on every ordered
     /// pair of a randomly generated corpus, for all four problems. This
     /// is what licenses the pipeline to run generalization and
     /// comparison over session handles while the string path stays the
@@ -349,24 +330,16 @@ proptest! {
                         &in_session.matching, &strings.matching,
                         "{:?} ({}, {}): matching diverges from oracle", problem, i, j
                     );
-                    // Statistics are pinned to the oracle with pruning
-                    // off; with pruning on (default) they are pinned
-                    // *across compiled paths* (session colours vs
-                    // one-shot derivation must prune identically) and
-                    // bounded by the unpruned counts.
-                    let base = SolverConfig { dense_pruning: false, ..config.clone() };
-                    let unpruned = solve_in(problem, &session, ids[i], ids[j], &base);
-                    prop_assert_eq!(
-                        unpruned.stats, strings.stats,
-                        "{:?} ({}, {}): unpruned statistics diverge from oracle", problem, i, j
-                    );
-                    prop_assert_eq!(
-                        &unpruned.matching, &strings.matching,
-                        "{:?} ({}, {}): unpruned matching diverges from oracle", problem, i, j
+                    // Statistics are pinned *across compiled paths*
+                    // (session colours vs one-shot derivation must prune
+                    // identically) and bounded by the oracle's counts.
+                    prop_assert!(
+                        in_session.stats.steps <= strings.stats.steps,
+                        "{:?} ({}, {}): pruning must never add steps", problem, i, j
                     );
                     prop_assert!(
-                        in_session.stats.steps <= unpruned.stats.steps,
-                        "{:?} ({}, {}): pruning must never add steps", problem, i, j
+                        in_session.stats.backtracks <= strings.stats.backtracks,
+                        "{:?} ({}, {}): pruning must never add backtracks", problem, i, j
                     );
                     prop_assert_eq!(
                         &in_session.matching, &borrowed.matching,
@@ -430,11 +403,9 @@ proptest! {
                         &out.matching, &strings.matching,
                         "{:?} ({}, {}): batch matching diverges from oracle", problem, i, j
                     );
-                    // Statistics vs the oracle are pinned under
-                    // `dense_pruning: false`; the default-config batch
-                    // is held to the per-pair session path above, which
-                    // `session_path_agrees_with_both_engines` bounds
-                    // against the oracle.
+                    // Statistics are held to the per-pair session path
+                    // above, which `session_path_agrees_with_both_engines`
+                    // bounds by the oracle's.
                     if let Some(m) = &out.matching {
                         assert_valid_witness(problem, &corpus[i], &corpus[j], m);
                     }

@@ -1,10 +1,10 @@
-//! Differential tests for the bitset-pruned dense kernel: the bitset
+//! Differential tests for the bitset/WL dense kernel: the bitset
 //! candidate domains must be **set-identical** to an independent
-//! reconstruction of the legacy vector candidate rules, and the
+//! reconstruction of the per-pair candidate rules, and the
 //! WL-colour pre-filter must never remove a pair that appears in any
 //! optimal matching the string oracle finds.
 //!
-//! These pin the two halves of the pruned kernel separately from the
+//! These pin the two halves of the kernel separately from the
 //! end-to-end differentials in `differential_compiled.rs`: domain
 //! construction (via the `debug_domains` introspection hook) and the
 //! soundness of the colour signal (via oracle witnesses).
@@ -76,7 +76,7 @@ const ALL_PROBLEMS: [Problem; 4] = [
     Problem::Subgraph,
 ];
 
-/// Rebuild the legacy per-pair candidate rules from public accessors
+/// Rebuild the per-pair candidate rules from public accessors
 /// only: label equality, exact properties for isomorphism, and the
 /// degree-signature filter. Returns ascending right ids per left node.
 fn expected_candidates(
@@ -119,7 +119,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The initial bitset domains decode to exactly the candidate sets
-    /// the legacy vector rules produce, for all four problems and for
+    /// the per-pair rules produce, for all four problems and for
     /// configurations with and without the degree filter; the WL masks
     /// are exactly the colour-compatible subsets.
     #[test]
@@ -208,22 +208,22 @@ proptest! {
         }
     }
 
-    /// End-to-end: the pruned default agrees with the unpruned ablation
-    /// baseline and the oracle on every outcome, with statistics never
-    /// worse, on feasible bijective instances.
+    /// End-to-end: the kernel agrees with the oracle on every outcome,
+    /// with statistics never worse, on feasible bijective instances.
     #[test]
-    fn pruned_outcomes_match_unpruned_on_copies(g in arb_graph(6)) {
+    fn pruned_outcomes_match_oracle_on_copies(g in arb_graph(6)) {
         let h = relabelled(&g);
-        let base = SolverConfig { dense_pruning: false, ..SolverConfig::default() };
+        let config = SolverConfig::default();
         for problem in ALL_PROBLEMS {
-            let pruned = solve(problem, &g, &h, &SolverConfig::default());
-            let unpruned = solve(problem, &g, &h, &base);
-            let strings = solve_strings(problem, &g, &h, &base);
-            prop_assert_eq!(&pruned.matching, &unpruned.matching, "{:?}", problem);
-            prop_assert_eq!(pruned.optimal, unpruned.optimal, "{:?}", problem);
-            prop_assert_eq!(&unpruned.matching, &strings.matching, "{:?}", problem);
-            prop_assert_eq!(unpruned.stats, strings.stats, "{:?}", problem);
-            prop_assert!(pruned.stats.steps <= unpruned.stats.steps, "{:?}", problem);
+            let pruned = solve(problem, &g, &h, &config);
+            let strings = solve_strings(problem, &g, &h, &config);
+            prop_assert_eq!(&pruned.matching, &strings.matching, "{:?}", problem);
+            prop_assert_eq!(pruned.optimal, strings.optimal, "{:?}", problem);
+            prop_assert!(pruned.stats.steps <= strings.stats.steps, "{:?}", problem);
+            prop_assert!(
+                pruned.stats.backtracks <= strings.stats.backtracks,
+                "{:?}", problem
+            );
         }
     }
 }
@@ -257,21 +257,18 @@ fn wl_pruning_strictly_reduces_steps_on_mixed_paths() {
     }
     let g1 = paths("x", [("a", 7), ("b", 3)]);
     let g2 = paths("y", [("b", 3), ("a", 7)]);
-    let base = SolverConfig {
-        dense_pruning: false,
-        ..SolverConfig::default()
-    };
+    let config = SolverConfig::default();
     for problem in [Problem::Similarity, Problem::Generalization] {
-        let pruned = solve(problem, &g1, &g2, &SolverConfig::default());
-        let unpruned = solve(problem, &g1, &g2, &base);
-        assert_eq!(pruned.matching, unpruned.matching, "{problem:?}");
-        assert_eq!(pruned.optimal, unpruned.optimal, "{problem:?}");
+        let pruned = solve(problem, &g1, &g2, &config);
+        let strings = solve_strings(problem, &g1, &g2, &config);
+        assert_eq!(pruned.matching, strings.matching, "{problem:?}");
+        assert_eq!(pruned.optimal, strings.optimal, "{problem:?}");
         assert!(
-            pruned.stats.steps < unpruned.stats.steps,
+            pruned.stats.steps < strings.stats.steps,
             "{problem:?}: colour pruning should strictly reduce steps \
              ({} vs {})",
             pruned.stats.steps,
-            unpruned.stats.steps
+            strings.stats.steps
         );
     }
 }

@@ -15,16 +15,10 @@
 //!   one shared interner, generalization and comparison both solved over
 //!   session handles).
 //!
-//! A fourth `oneshot_unpruned` column is the **pruning ablation**: the
-//! same one-shot compiled solve with
-//! [`aspsolver::SolverConfig::dense_pruning`] disabled (the legacy
-//! vector-candidate kernel). `dense_pruned_speedup` =
-//! `oneshot_unpruned / oneshot`, isolating what the bitset domains and
-//! WL-colour pre-filter buy over the otherwise identical dense search;
-//! `--min-dense` gates it on the scale64 workloads. Outcomes are
-//! asserted identical between the pruned and unpruned kernels (and the
-//! unpruned kernel's search statistics bit-identical to the string
-//! oracle) before any timing is published.
+//! Before any timing is published, every workload's compiled outcomes
+//! (one-shot and session) are asserted identical to the string oracle's,
+//! session statistics equal to one-shot ones, and the compiled search's
+//! steps and backtracks no larger than the oracle's.
 //!
 //! The string path has no compile stage to amortize — re-deriving
 //! adjacency tables, degree signatures and property comparisons from
@@ -89,8 +83,8 @@
 //!
 //! ```text
 //! bench_solver [--out PATH] [--min-speedup X] [--min-oneshot X]
-//!              [--min-batch X] [--min-memo X] [--min-dense X]
-//!              [--min-cache X] [--reps N] [--quick]
+//!              [--min-batch X] [--min-memo X] [--min-cache X]
+//!              [--reps N] [--quick]
 //! ```
 //!
 //! `--quick` runs only the scaled suites plus the batch workloads at a
@@ -334,7 +328,6 @@ fn main() {
     let mut min_oneshot: Option<f64> = None;
     let mut min_batch: Option<f64> = None;
     let mut min_memo: Option<f64> = None;
-    let mut min_dense: Option<f64> = None;
     let mut min_cache: Option<f64> = None;
     let mut reps: Option<usize> = None;
     let mut quick = false;
@@ -370,13 +363,6 @@ fn main() {
                         .expect("--min-memo needs a number"),
                 )
             }
-            "--min-dense" => {
-                min_dense = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--min-dense needs a number"),
-                )
-            }
             "--min-cache" => {
                 min_cache = Some(
                     args.next()
@@ -409,40 +395,29 @@ fn main() {
     };
 
     let config = SolverConfig::default();
-    let unpruned_config = SolverConfig {
-        dense_pruning: false,
-        ..config.clone()
-    };
     let mut rows: Vec<Value> = Vec::new();
     let mut amortized_speedups: Vec<(String, Speedup)> = Vec::new();
     let mut scale64_oneshot_speedups: Vec<(String, Speedup)> = Vec::new();
-    let mut scale64_dense_speedups: Vec<(String, Speedup)> = Vec::new();
     let mut oneshot_speedups: Vec<(String, Speedup)> = Vec::new();
     let mut session_speedups: Vec<(String, Speedup)> = Vec::new();
     let mut disagreements = 0usize;
     println!(
-        "{:<20} {:>13} {:>13} {:>11} {:>11} {:>11} {:>8} {:>8} {:>8} {:>8}",
+        "{:<20} {:>13} {:>13} {:>11} {:>11} {:>8} {:>8} {:>8}",
         "workload",
         "strings (ms)",
         "oneshot (ms)",
-        "unpruned",
         "amortized",
         "session",
         "1shot ×",
-        "dense ×",
         "amort ×",
         "sess ×"
     );
     for w in workloads {
         // Differential check first: identical outcomes on this workload
-        // across all paths (the string path is the oracle). The pruned
-        // kernel must agree on every outcome; the unpruned ablation
-        // kernel must additionally reproduce the oracle's search
-        // statistics bit-for-bit.
+        // across all paths (the string path is the oracle), and a
+        // compiled search that explores no more than the oracle's.
         let compiled = solve(w.problem, &w.g1, &w.g2, &config);
         let strings = solve_strings(w.problem, &w.g1, &w.g2, &config);
-        let unpruned = solve(w.problem, &w.g1, &w.g2, &unpruned_config);
-        let strings_unpruned = solve_strings(w.problem, &w.g1, &w.g2, &unpruned_config);
         let mut session = CorpusSession::new();
         let id1 = session.add(&w.g1);
         let id2 = session.add(&w.g2);
@@ -452,12 +427,8 @@ fn main() {
             && in_session.optimal == strings.optimal
             && in_session.matching == strings.matching
             && in_session.stats == compiled.stats
-            && unpruned.matching == strings_unpruned.matching
-            && unpruned.optimal == strings_unpruned.optimal
-            && unpruned.stats == strings_unpruned.stats
-            && compiled.matching == unpruned.matching
-            && compiled.optimal == unpruned.optimal
-            && compiled.stats.steps <= unpruned.stats.steps;
+            && compiled.stats.steps <= strings.stats.steps
+            && compiled.stats.backtracks <= strings.stats.backtracks;
         if !agree {
             eprintln!("{}: engine paths DISAGREE — not publishing timings", w.name);
             disagreements += 1;
@@ -471,7 +442,6 @@ fn main() {
 
         let strings_q = measure(reps, || solve_strings(w.problem, &w.g1, &w.g2, &config));
         let oneshot_q = measure(reps, || solve(w.problem, &w.g1, &w.g2, &config));
-        let unpruned_q = measure(reps, || solve(w.problem, &w.g1, &w.g2, &unpruned_config));
         let mut interner = Interner::new();
         let c1 = CompiledGraph::compile(&w.g1, &mut interner);
         let c2 = CompiledGraph::compile(&w.g2, &mut interner);
@@ -479,24 +449,21 @@ fn main() {
         let session_q = measure(reps, || solve_in(w.problem, &session, id1, id2, &config));
 
         let oneshot_x = speedup(strings_q, oneshot_q);
-        let dense_x = speedup(unpruned_q, oneshot_q);
         let amortized_x = speedup(strings_q, amortized_q);
         let session_x = speedup(strings_q, session_q);
-        let noisy = [strings_q, oneshot_q, unpruned_q, amortized_q, session_q]
+        let noisy = [strings_q, oneshot_q, amortized_q, session_q]
             .into_iter()
             .map(relative_iqr)
             .fold(0.0f64, f64::max)
             > 0.25;
         println!(
-            "{:<20} {:>13.3} {:>13.3} {:>11.3} {:>11.3} {:>11.3} {:>7.2}x {:>7.2}x {:>7.2}x {:>7.2}x{}",
+            "{:<20} {:>13.3} {:>13.3} {:>11.3} {:>11.3} {:>7.2}x {:>7.2}x {:>7.2}x{}",
             w.name,
             strings_q.median * 1e3,
             oneshot_q.median * 1e3,
-            unpruned_q.median * 1e3,
             amortized_q.median * 1e3,
             session_q.median * 1e3,
             oneshot_x.median,
-            dense_x.median,
             amortized_x.median,
             session_x.median,
             if noisy { "  (noisy)" } else { "" }
@@ -509,11 +476,9 @@ fn main() {
         row.insert("g2_size".into(), Value::Number(w.g2.size() as f64));
         insert_quartiles(&mut row, "strings", strings_q);
         insert_quartiles(&mut row, "compiled_oneshot", oneshot_q);
-        insert_quartiles(&mut row, "oneshot_unpruned", unpruned_q);
         insert_quartiles(&mut row, "compiled_amortized", amortized_q);
         insert_quartiles(&mut row, "session_amortized", session_q);
         row.insert("oneshot_speedup".into(), Value::Number(oneshot_x.median));
-        row.insert("dense_pruned_speedup".into(), Value::Number(dense_x.median));
         row.insert(
             "amortized_speedup".into(),
             Value::Number(amortized_x.median),
@@ -529,7 +494,6 @@ fn main() {
 
         if w.name.ends_with("scale64") {
             scale64_oneshot_speedups.push((w.name.clone(), oneshot_x));
-            scale64_dense_speedups.push((w.name.clone(), dense_x));
         }
         oneshot_speedups.push((w.name.clone(), oneshot_x));
         amortized_speedups.push((w.name.clone(), amortized_x));
@@ -810,7 +774,6 @@ fn main() {
     let min_oneshot_all = min_of(&oneshot_speedups);
     let min_session = min_of(&session_speedups);
     let min_oneshot_scale64 = min_of(&scale64_oneshot_speedups);
-    let min_dense_scale64 = min_of(&scale64_dense_speedups);
     let min_batch_speedup = min_of(&batch_speedups);
     let min_memo_speedup = min_of(&memo_speedups);
     let min_cache_speedup = min_of(&cache_speedups);
@@ -833,10 +796,9 @@ fn main() {
              includes compiling both graphs. The scale16/32/64 suites grow both sides \
              of the matching (generalization of two trials; embedding the generalized \
              graph into a fresh raw trial), so search cost dominates and the one-shot \
-             path is gated at 2x on scale64. `oneshot_unpruned` is the pruning \
-             ablation: the same one-shot solve with dense_pruning disabled (legacy \
-             vector-candidate kernel); `dense_pruned_speedup` = oneshot_unpruned / \
-             oneshot, gated (--min-dense) on scale64. Batch workloads (kind=batch) measure \
+             path is gated at 2x on scale64. Every compiled outcome equals the string \
+             oracle's, with steps and backtracks no larger than the oracle's. Batch \
+             workloads (kind=batch) measure \
              solve_batch_in — one prepared left-hand plan reused across many right \
              graphs, fanned out with par_map — against per-pair session solves of the \
              same pairs; `batch_speedup` = session_amortized / batch, gated \
@@ -893,10 +855,6 @@ fn main() {
         Value::Number(min_oneshot_scale64),
     );
     summary.insert(
-        "min_dense_pruned_speedup_scale64".into(),
-        Value::Number(min_dense_scale64),
-    );
-    summary.insert(
         "geomean_amortized_speedup".into(),
         Value::Number(geomean_amortized),
     );
@@ -935,7 +893,6 @@ fn main() {
     println!(
         "wrote {out_path} (min amortized {min_amortized:.2}x, geomean {geomean_amortized:.2}x, \
          min session {min_session:.2}x, scale64 min oneshot {min_oneshot_scale64:.2}x, \
-         scale64 min dense-pruned {min_dense_scale64:.2}x, \
          min batch {min_batch_speedup:.2}x, min memo (matrix replay) {min_memo_speedup:.2}x, \
          min cache-warm (matrix replay) {min_cache_speedup:.2}x)"
     );
@@ -950,14 +907,6 @@ fn main() {
             fail = true;
         } else {
             fail |= gate("one-shot", required, &scale64_oneshot_speedups);
-        }
-    }
-    if let Some(required) = min_dense {
-        if scale64_dense_speedups.is_empty() {
-            eprintln!("FAIL: --min-dense given but no scale64 workload was run");
-            fail = true;
-        } else {
-            fail |= gate("dense-pruned", required, &scale64_dense_speedups);
         }
     }
     if let Some(required) = min_batch {
