@@ -61,7 +61,6 @@ use provgraph::compiled::{
     CorpusSession, FxHashMap, FxHasher, GraphCore, GraphId, Interner, NamedGraph, Symbol,
 };
 use provgraph::fingerprint::shape_colors_core;
-use provgraph::par;
 use provgraph::PropertyGraph;
 
 use crate::assignment::{min_cost_assignment, FORBIDDEN};
@@ -343,8 +342,7 @@ impl<'a> PreparedLhs<'a> {
 /// graph.
 /// [`solve_batch`](BatchSolver::solve_batch) additionally shares one
 /// dense search across rights whose compiled cores are
-/// solver-equivalent and fans distinct solves out across the machine's
-/// cores (see its docs for both mechanisms).
+/// solver-equivalent (see its docs).
 ///
 /// Handle scoping is as for [`solve_in`]: handles are only meaningful
 /// for the session that issued them.
@@ -402,7 +400,20 @@ impl<'s> BatchSolver<'s> {
     /// attached ([`with_memo`](BatchSolver::with_memo)), the dense half
     /// is served from — or recorded into — the memo.
     pub fn solve_one(&self, rhs: GraphId) -> Outcome {
-        let dense = match self.memo {
+        translate(
+            &self.dense(rhs),
+            self.session.graph(self.lhs),
+            self.session.graph(rhs),
+        )
+    }
+
+    /// The identifier-free dense solve of the prepared left against
+    /// `rhs`: served from (or recorded into) the memo when one is
+    /// attached — the memo is keyed on canonical core identity, so a
+    /// replay of this pair from an earlier batch (or a left side with an
+    /// equivalent core) is a lookup — and searched directly otherwise.
+    fn dense(&self, rhs: GraphId) -> Arc<DenseOutcome> {
+        match self.memo {
             Some(memo) => memoized_dense(
                 memo,
                 self.prepared.problem,
@@ -423,32 +434,23 @@ impl<'s> BatchSolver<'s> {
                     self.session.shape_colors(rhs),
                 )),
             )),
-        };
-        translate(
-            &dense,
-            self.session.graph(self.lhs),
-            self.session.graph(rhs),
-        )
+        }
     }
 
     /// Solve the prepared left against every right-hand graph, in order.
     ///
-    /// Two batch-level amortizations on top of the shared plan:
-    ///
-    /// - **Dense-solve sharing.** The search itself never sees element
-    ///   identifiers, so its outcome is a pure function of the two
-    ///   compiled cores (for [`Problem::Similarity`], of their structure
-    ///   and labels alone — see `cores_equivalent`). Rights whose cores
-    ///   are solver-equivalent are grouped — cheap: the session's
-    ///   memoized fingerprints prefilter, an exact core comparison
-    ///   confirms — and searched **once**; only the witness translation
-    ///   back to each right's identifiers is per-member. This is the
-    ///   dominant win for similarity confirmation, where bucket members
-    ///   routinely differ only in volatile property values.
-    /// - **Parallel fan-out.** Distinct dense solves run across the
-    ///   machine's cores via [`provgraph::par::par_map`] (which degrades
-    ///   to a sequential loop when already inside a parallel stage, so
-    ///   the pipeline's matrix cells batch without oversubscribing).
+    /// On top of the shared plan, the batch **shares dense solves**. The
+    /// search itself never sees element identifiers, so its outcome is a
+    /// pure function of the two compiled cores (for
+    /// [`Problem::Similarity`], of their structure and labels alone — see
+    /// `cores_equivalent`). Rights whose cores are solver-equivalent are
+    /// grouped — cheap: the session's memoized fingerprints prefilter, an
+    /// exact core comparison confirms — and searched **once**; only the
+    /// witness translation back to each right's identifiers is
+    /// per-member. This is the dominant win for similarity confirmation,
+    /// where bucket members routinely differ only in volatile property
+    /// values. Groups are solved in order on the caller's thread: the
+    /// pipeline parallelizes across matrix cells, not within a batch.
     ///
     /// Outcomes are returned in `rhs` order; each equals the
     /// corresponding per-pair [`solve_in`] call in every observable,
@@ -481,33 +483,8 @@ impl<'s> BatchSolver<'s> {
                 None => groups.push((id, fp, vec![pos])),
             }
         }
-        let dense: Vec<Arc<DenseOutcome>> = par::par_map(&groups, |(rep, _, _)| {
-            match self.memo {
-                // The memo is keyed on canonical core identity, so a
-                // replay of this (lhs, rep) pair from an earlier batch
-                // (or a left side with an equivalent core) is a lookup.
-                Some(memo) => memoized_dense(
-                    memo,
-                    problem,
-                    self.session,
-                    self.lhs,
-                    *rep,
-                    &self.config,
-                    Some(&self.prepared),
-                ),
-                None => Arc::new(solve_dense(
-                    problem,
-                    self.prepared.core,
-                    self.session.graph(*rep).core(),
-                    &self.config,
-                    Some(&self.prepared),
-                    Some((
-                        self.session.shape_colors(self.lhs),
-                        self.session.shape_colors(*rep),
-                    )),
-                )),
-            }
-        });
+        let dense: Vec<Arc<DenseOutcome>> =
+            groups.iter().map(|(rep, _, _)| self.dense(*rep)).collect();
         let g1 = self.session.graph(self.lhs);
         let mut out: Vec<Option<Outcome>> = (0..rhs.len()).map(|_| None).collect();
         for ((_, _, members), dense) in groups.iter().zip(&dense) {
@@ -581,8 +558,8 @@ pub fn solve_in_memo(
 }
 
 /// Number of shards the memo's outcome map is split across; keys are
-/// distributed by hash so concurrent batch fan-outs rarely contend on
-/// one lock.
+/// distributed by hash so threads sharing one memo (the matrix's
+/// parallel rows) rarely contend on one lock.
 const MEMO_SHARDS: usize = 8;
 
 /// Default total entry capacity of a [`SolveMemo`] (split evenly across
@@ -666,10 +643,13 @@ struct MemoEntry {
 /// # Capacity and concurrency
 ///
 /// The outcome map is sharded behind mutexes and solves run outside any
-/// lock, so `par_map` fan-outs share the memo freely. Concurrent misses
-/// on one key may duplicate a search, but every copy computes the same
-/// value, so whichever insert lands the outcome is unchanged (only the
-/// informational hit/miss counts can vary with scheduling). Each shard
+/// lock, so threads may share one memo freely. Nothing inside a solver
+/// call is concurrent, so a memo used from one thread — one pipeline
+/// run — sees deterministic hit/miss counts. Only when callers share a
+/// memo across threads (`run_matrix`'s parallel rows) can concurrent
+/// misses on one key duplicate a search; every copy computes the same
+/// value, so whichever insert lands the outcome is unchanged, and only
+/// the informational hit/miss counts vary with scheduling. Each shard
 /// holds at most its share of the capacity (default [`MEMO_CAP`],
 /// configurable via [`SolveMemo::with_capacity`]); inserts past that
 /// batch-evict the shard's least-recently-used quarter, counted by
@@ -1086,8 +1066,8 @@ const UNASSIGNED: u32 = u32::MAX;
 /// dense pair-cost matrix, the bitset domains and the assignment state.
 ///
 /// Every solve used to allocate these vectors from scratch; a thread
-/// that solves repeatedly (a batch group on one `par_map` thread, the
-/// pipeline's repeated solves on their worker thread) rebuilds
+/// that solves repeatedly (the groups of a batch, the pipeline's
+/// repeated solves on their matrix-row thread) rebuilds
 /// same-shaped tables over and over, so the allocations are pure
 /// overhead. The pool hands the vectors to [`Search::build`], which
 /// **clears and refills** them — every element is rewritten before use,

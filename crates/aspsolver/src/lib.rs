@@ -44,8 +44,8 @@
 //! bucket member, a generalized graph replayed across matrix cells —
 //! should use the **batch path**: [`BatchSolver`] (or the [`solve_batch_in`]
 //! one-shot wrapper) prepares the left-hand search plan once and reuses
-//! it for every right-hand solve, fanning the batch out over the
-//! machine's cores. Batch outcomes are identical to per-pair
+//! it for every right-hand solve, searching solver-equivalent rights
+//! once. Batch outcomes are identical to per-pair
 //! [`solve_in`] calls in every observable, including search statistics.
 //!
 //! Callers replaying the same pairs across *separate* calls — the

@@ -656,9 +656,8 @@ fn main() {
         // Only the representative-vs-members workloads are gated: their
         // rights share one compiled structure, so the batch path's
         // dense-solve sharing must pay. The matrix-replay rights are all
-        // distinct (volatile properties), so that row is informational —
-        // its batch win comes from parallel fan-out, which a single-core
-        // runner cannot show.
+        // distinct (volatile properties), so the batch path has nothing
+        // to share there and that row is informational.
         if w.name.starts_with("rep_members") {
             batch_speedups.push((w.name.clone(), batch_x));
         }
@@ -800,7 +799,7 @@ fn main() {
              oracle's, with steps and backtracks no larger than the oracle's. Batch \
              workloads (kind=batch) measure \
              solve_batch_in — one prepared left-hand plan reused across many right \
-             graphs, fanned out with par_map — against per-pair session solves of the \
+             graphs, solving solver-equivalent rights once — against per-pair session solves of the \
              same pairs; `batch_speedup` = session_amortized / batch, gated \
              (--min-batch) on the rep_members workloads where rights share one \
              compiled structure. The batch_memo column replays the same batch through \

@@ -70,8 +70,8 @@ pub fn compare(
 /// identifiers are borrowed from the witness matching — nothing is cloned
 /// per cell on the way to the subtraction.
 ///
-/// The solve goes through [`batch_comparer`]'s prepared left-hand plan
-/// (a batch of one here), consulting `memo` when given — a replayed
+/// The solve goes through a [`BatchSolver`]'s prepared left-hand plan
+/// (a batch of one), consulting `memo` when given — a replayed
 /// (background, foreground) core pair (regression replay, repeated
 /// cells) is then served from the cache. Outcomes are identical to the
 /// plain session path either way.
@@ -86,33 +86,17 @@ pub fn compare_in(
     foreground_graph: &PropertyGraph,
     memo: Option<&SolveMemo>,
 ) -> Result<Comparison, PipelineError> {
-    let matching = batch_comparer(session, background, memo)
-        .solve_one(foreground)
-        .matching
-        .ok_or(PipelineError::BackgroundNotSubgraph)?;
-    subtract_matched(foreground_graph, &matching)
-}
-
-/// A batched subgraph solver with `background` as the prepared left-hand
-/// side: the comparison-stage entry point for checking one generalized
-/// background against many foregrounds (regression replay over stored
-/// results, future matrix sharding). [`compare_in`] is currently its
-/// only in-tree caller — a batch of one; callers with several
-/// foregrounds should keep the returned solver and use
-/// [`BatchSolver::solve_batch`]. `memo`, when given, lets separate
-/// batches (and other stages sharing it) replay equivalent dense solves.
-pub fn batch_comparer<'s>(
-    session: &'s CorpusSession,
-    background: GraphId,
-    memo: Option<&'s SolveMemo>,
-) -> BatchSolver<'s> {
-    BatchSolver::new(
+    let matching = BatchSolver::new(
         Problem::Subgraph,
         session,
         background,
         SolverConfig::default(),
     )
     .with_memo(memo)
+    .solve_one(foreground)
+    .matching
+    .ok_or(PipelineError::BackgroundNotSubgraph)?;
+    subtract_matched(foreground_graph, &matching)
 }
 
 /// Shared tail of both entry points: borrow the matched identifiers out

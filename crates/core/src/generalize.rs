@@ -27,7 +27,7 @@ use aspsolver::{
 use provgraph::compiled::{CorpusSession, GraphId};
 use provgraph::PropertyGraph;
 
-use crate::{par, PipelineError};
+use crate::PipelineError;
 
 /// Which pair of consistent trials generalization uses (paper §3.4
 /// discusses the choice; `TwoSmallest` is ProvMark's default).
@@ -59,14 +59,15 @@ pub fn similarity_classes(graphs: &[PropertyGraph]) -> Vec<Vec<usize>> {
 /// classification, entirely in symbol space:
 ///
 /// 1. **Fingerprint prefilter** — compiled-path Weisfeiler–Lehman shape
-///    fingerprints (computed in parallel over the session's CSR cores, no
+///    fingerprints (memoized per session member at compile time, no
 ///    string hashing) bucket the trials; unequal fingerprints *prove*
 ///    dissimilarity, so the exact solver never sees cross-bucket pairs.
 /// 2. **Identity fast path** — set-equal graphs are trivially similar
 ///    and skip the solver entirely.
-/// 3. **Exact confirmation** — within a bucket (buckets processed in
-///    parallel), each class representative is confirmed against **all**
-///    still-unclassified bucket members in one batched solver call
+/// 3. **Exact confirmation** — within a bucket (buckets taken in
+///    fingerprint order on the caller's thread), each class
+///    representative is confirmed against **all** still-unclassified
+///    bucket members in one batched solver call
 ///    ([`BatchSolver`]): the representative's left-hand search plan is
 ///    prepared once and reused for every member, instead of being
 ///    rebuilt per pair. Every trial was compiled exactly once when added
@@ -92,13 +93,13 @@ pub fn similarity_classes_in(
     memo: Option<&SolveMemo>,
 ) -> Vec<Vec<usize>> {
     debug_assert_eq!(ids.len(), graphs.len());
-    let fingerprints = par::par_map(ids, |id| session.shape_fingerprint(*id));
     let mut buckets: std::collections::BTreeMap<u64, Vec<usize>> = Default::default();
-    for (i, fp) in fingerprints.iter().enumerate() {
-        buckets.entry(*fp).or_default().push(i);
+    for (i, id) in ids.iter().enumerate() {
+        let fp = session.shape_fingerprint(*id);
+        buckets.entry(fp).or_default().push(i);
     }
-    let buckets: Vec<Vec<usize>> = buckets.into_values().collect();
-    let per_bucket: Vec<Vec<Vec<usize>>> = par::par_map(&buckets, |bucket| {
+    let mut classes = Vec::new();
+    for bucket in buckets.values() {
         // Class members as bucket-local positions; representative first.
         let mut sub: Vec<Vec<usize>> = Vec::new();
         let mut remaining: Vec<usize> = (0..bucket.len()).collect();
@@ -148,11 +149,12 @@ pub fn similarity_classes_in(
             sub.push(class);
             remaining = next;
         }
-        sub.into_iter()
-            .map(|class| class.into_iter().map(|local| bucket[local]).collect())
-            .collect()
-    });
-    per_bucket.into_iter().flatten().collect()
+        classes.extend(
+            sub.into_iter()
+                .map(|class| class.into_iter().map(|local| bucket[local]).collect()),
+        );
+    }
+    classes
 }
 
 /// Pick the representative pair per the strategy. Returns trial indices.

@@ -42,7 +42,6 @@ pub mod compare;
 mod error;
 pub mod generalize;
 mod options;
-pub mod par;
 pub mod pipeline;
 pub mod regression;
 pub mod report;

@@ -421,8 +421,10 @@ impl MeasuredCell {
 /// (in its baseline configuration).
 ///
 /// Benchmarks run **in parallel** across the machine's cores
-/// ([`crate::par::par_map`]); each row instantiates its own tool handles,
-/// so every cell is reproducible in isolation (the simulated kernel is
+/// ([`provgraph::par::par_map`]) — the pipeline's one level of
+/// parallelism: everything inside a cell runs on its row's thread. Each
+/// row instantiates its own tool handles, so every cell is
+/// reproducible in isolation (the simulated kernel is
 /// seeded per trial, and a fresh instance pins the session counter the
 /// boot seed mixes in — a shared warm instance would make a cell's boot
 /// ids depend on how many benchmarks ran before it).
@@ -453,7 +455,7 @@ pub fn run_matrix(
     let phase = tracer.span_enter("phase.execute", None, || {
         vec![("rows", provtrace::Field::from(expectations.len()))]
     });
-    let cells = crate::par::par_map(&expectations, |exp| {
+    let cells = provgraph::par::par_map(&expectations, |exp| {
         // provlint: allow(panic-in-lib) -- rows come straight from the static table2, and every table2 row has a spec
         let spec = crate::suite::spec(exp.syscall).expect("table2 rows have specs");
         let row = tracer.span_enter("row", phase, || {
@@ -550,36 +552,24 @@ pub fn run_matrix_cell(
     // own the artifact; the elastic supervisor publishes merged state).
     let memo = opts.use_solve_memo.then(SolveMemo::new);
     load_solve_cache(memo.as_ref(), opts);
-    run_matrix_cell_with_memo(syscall, tool, opts, opus_db_iterations, memo.as_ref())
+    run_matrix_cell_traced(
+        syscall,
+        tool,
+        opts,
+        opus_db_iterations,
+        memo.as_ref(),
+        &provtrace::Tracer::disabled(),
+        None,
+    )
 }
 
 /// [`run_matrix_cell`] with a caller-owned [`SolveMemo`] (and no cache
-/// file I/O): the elastic worker loop threads one worker-lifetime memo
-/// — warmed once from the shared cache directory — through every cell
-/// it claims. Outcomes are byte-identical with any memo or none.
-///
-/// # Errors
-///
-/// Same contract as [`run_matrix_cell`].
-pub fn run_matrix_cell_with_memo(
-    syscall: &str,
-    tool: usize,
-    opts: &BenchmarkOptions,
-    opus_db_iterations: Option<u64>,
-    memo: Option<&SolveMemo>,
-) -> Result<CellOutcome, PipelineError> {
-    // As in [`run_benchmark_with_memo`]: a tracer attached to the memo
-    // carries the telemetry without widening this signature.
-    let tracer = memo
-        .map(|m| m.tracer().clone())
-        .unwrap_or_else(provtrace::Tracer::disabled);
-    run_matrix_cell_traced(syscall, tool, opts, opus_db_iterations, memo, &tracer, None)
-}
-
-/// [`run_matrix_cell_with_memo`] with an explicit telemetry sink and
-/// parent span: the elastic worker loop parents each claimed cell's
-/// `cell` span (and the stage spans beneath it) under its own claim
-/// context. Outcomes are byte-identical traced or not.
+/// file I/O), an explicit telemetry sink and a parent span: the elastic
+/// worker loop threads one worker-lifetime memo — warmed once from the
+/// shared cache directory — through every cell it claims, and parents
+/// each cell's `cell` span (and the stage spans beneath it) under its
+/// own claim context. Outcomes are byte-identical with any memo or
+/// none, traced or not.
 ///
 /// # Errors
 ///
@@ -867,7 +857,8 @@ mod tests {
     fn memo_on_run_identical_to_memo_off() {
         // The solve memo must be invisible in every run observable:
         // status, result graph, generalized graphs, matching cost,
-        // discarded-trial count.
+        // discarded-trial count. And with no threads inside a run, a
+        // fresh memo's hit/miss counts are a pure function of the run.
         let spec = suite::spec("creat").unwrap();
         let on = BenchmarkOptions::default();
         assert!(on.use_solve_memo, "memo is the default");
@@ -882,7 +873,7 @@ mod tests {
         ] {
             let kind = tool.kind();
             let run_on = run_benchmark(&mut tool.clone().instantiate(), &spec, &on).unwrap();
-            let run_off = run_benchmark(&mut tool.instantiate(), &spec, &off).unwrap();
+            let run_off = run_benchmark(&mut tool.clone().instantiate(), &spec, &off).unwrap();
             assert_eq!(run_on.status, run_off.status, "{kind:?}");
             assert_eq!(run_on.result, run_off.result, "{kind:?}");
             assert_eq!(run_on.generalized_bg, run_off.generalized_bg, "{kind:?}");
@@ -892,6 +883,15 @@ mod tests {
                 run_on.discarded_trials, run_off.discarded_trials,
                 "{kind:?}"
             );
+            let counts = || {
+                let memo = SolveMemo::new();
+                run_benchmark_with_memo(&mut tool.clone().instantiate(), &spec, &on, Some(&memo))
+                    .unwrap();
+                (memo.hits(), memo.misses())
+            };
+            let first = counts();
+            assert_eq!(first, counts(), "{kind:?}");
+            assert!(first.1 > 0, "{kind:?}: a fresh memo must miss");
         }
     }
 

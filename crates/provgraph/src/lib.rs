@@ -28,8 +28,8 @@
 //!   [`compiled::CorpusSession`]s (vocabulary, compiled arenas, memoized
 //!   fingerprints), so sessions can cross process or host boundaries and
 //!   rehydrate to solver-identical state.
-//! - [`par`] — the scoped-thread parallel map shared by the solver's
-//!   batch path and the pipeline's parallel stages.
+//! - [`par`] — the scoped-thread parallel map behind the pipeline's one
+//!   parallel stage (the Table 2 matrix's fan-out over rows).
 //!
 //! # `PropertyGraph` vs `CompiledGraph`
 //!

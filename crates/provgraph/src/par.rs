@@ -1,26 +1,16 @@
 //! Tiny data-parallel helper over `std::thread::scope`.
 //!
-//! The workspace builds without external crates (no `rayon`), so every
-//! embarrassingly parallel stage — per-trial similarity classification
-//! and per-benchmark matrix runs in the pipeline, per-right-graph solves
-//! in the batch solver — shares this one primitive: an order-preserving
-//! parallel map that chunks the input across the machine's available
-//! parallelism. It lives in this base crate so both the solver and the
-//! pipeline layers can drive it (`provmark_core::par` re-exports it
-//! unchanged).
+//! The workspace builds without external crates (no `rayon`), so the one
+//! parallel stage — `provmark_core::pipeline::run_matrix`'s fan-out over
+//! Table 2 rows — runs on this primitive: an order-preserving parallel
+//! map that chunks the input across the machine's available parallelism.
+//! Everything below a matrix cell (generalization, the batch solver) is
+//! sequential, so there is exactly one level of parallelism and no
+//! nesting to guard against. It lives in this base crate so every layer
+//! above can reach it.
 
-use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::thread;
-
-thread_local! {
-    /// Set inside `par_map` worker threads so nested `par_map` calls run
-    /// sequentially instead of oversubscribing the machine — e.g.
-    /// `run_matrix` parallelizes across benchmarks while each benchmark's
-    /// `similarity_classes` also calls `par_map`; without the guard an
-    /// N-core box could spawn ~N² solver threads.
-    static INSIDE_PAR_WORKER: Cell<bool> = const { Cell::new(false) };
-}
 
 /// Number of worker threads to use for `n` items.
 fn workers_for(n: usize) -> usize {
@@ -33,11 +23,9 @@ fn workers_for(n: usize) -> usize {
 /// Map `f` over `items` in parallel, preserving order.
 ///
 /// Chunks the slice across available cores with scoped threads; falls
-/// back to a sequential map for empty/singleton inputs, single-core
-/// machines, or when called from inside another `par_map` worker (only
-/// the outermost level parallelizes). A panic in any worker is
-/// propagated to the caller with its original payload (so failing
-/// assertions inside `f` read normally).
+/// back to a sequential map for empty/singleton inputs and single-core
+/// machines. A panic in any worker is propagated to the caller with its
+/// original payload (so failing assertions inside `f` read normally).
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -45,7 +33,7 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let workers = workers_for(items.len());
-    if workers <= 1 || INSIDE_PAR_WORKER.with(Cell::get) {
+    if workers <= 1 {
         return items.iter().map(&f).collect();
     }
     let chunk_size = items.len().div_ceil(workers);
@@ -54,12 +42,7 @@ where
     thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    INSIDE_PAR_WORKER.with(|flag| flag.set(true));
-                    chunk.iter().map(f).collect::<Vec<R>>()
-                })
-            })
+            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<R>>()))
             .collect();
         for handle in handles {
             match handle.join() {
@@ -86,21 +69,6 @@ mod tests {
     fn empty_and_singleton() {
         assert_eq!(par_map(&[] as &[u8], |&x| x), Vec::<u8>::new());
         assert_eq!(par_map(&[7u8], |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn nested_calls_run_sequentially_but_correctly() {
-        let outer: Vec<usize> = (0..32).collect();
-        let result = par_map(&outer, |&x| {
-            let inner: Vec<usize> = (0..8).collect();
-            // Inside a worker this must take the sequential path (the
-            // guard flag is set), and still produce correct results.
-            par_map(&inner, move |&y| x * 100 + y)
-                .into_iter()
-                .sum::<usize>()
-        });
-        let expected: Vec<usize> = (0..32).map(|x| (0..8).map(|y| x * 100 + y).sum()).collect();
-        assert_eq!(result, expected);
     }
 
     #[test]
