@@ -2,44 +2,66 @@
 //!
 //! A shared run directory is the whole coordination substrate — no
 //! sockets, no shared memory, no coordinator state that a crash can
-//! corrupt. The plan step writes one claimable **cell task file per
-//! matrix cell** (so a long-tail row never serializes behind one
-//! worker); workers claim tasks by atomic `rename` into `claimed/`,
-//! refresh a heartbeat file while solving, and publish results with
-//! write-temp-then-`rename` so a torn artifact can never be observed at
-//! the final path. A supervisor loop watches heartbeats, re-dispatches
-//! cells whose worker died or stalled under a **bumped claim epoch**
-//! with bounded retries and backoff, and records cells that exhaust
-//! their budget as typed [`CellFailure`]s instead of poisoning the run.
+//! corrupt. The plan step writes the run configuration once, to
+//! `plan.json`, and seeds `tasks/` with one hard link to it per
+//! **matrix cell** (so a long-tail row never serializes behind one
+//! worker). Workers claim tasks by atomic `rename` into `claimed/`,
+//! keep one heartbeat file each fresh for as long as they live, and
+//! publish results with write-temp-then-`rename` so a torn artifact can
+//! never be observed at the final path. A supervisor loop watches the
+//! claims, re-dispatches cells whose worker died or stalled under a
+//! **bumped claim epoch** with bounded retries and backoff, and records
+//! cells that exhaust their budget as typed [`CellFailure`]s instead of
+//! poisoning the run.
 //!
 //! ## The claim protocol
 //!
 //! ```text
-//! tasks/creat.t0.e1.json      --rename-->  claimed/creat.t0.e1.json
-//!                                          heartbeats/creat.t0.e1.json  (refreshed)
-//!                                          done/creat.t0.e1.json        (atomic publish)
+//! plan.json                    run configuration, written once
+//! tasks/creat.t0.e1.json       hard link to plan.json, one per cell
+//!   --rename-->  claimed/creat.t0.e1.json.w2   (claimed by worker 2)
+//!                heartbeats/worker-2           (mtime moved while worker 2 lives)
+//!                done/creat.t0.e1.json         (atomic publish)
 //! ```
 //!
-//! * **Claim** is `rename(tasks/F, claimed/F)` — atomic on POSIX, so a
-//!   claim race between any number of workers has exactly one winner;
-//!   the losers see `NotFound` and move on.
-//! * **Heartbeat** files carry pid + worker index; only their *mtime*
-//!   matters to the supervisor. The claim writes the first one and a
-//!   thread refreshes it until the cell ends. A claim whose heartbeat —
-//!   or, before the first beat lands, whose first sighting by the
+//! * **Task**: a task file's *name* is its identity —
+//!   `<syscall>.t<tool>.e<epoch>.json`, parsed strictly (an unknown
+//!   syscall, tool or non-canonical number is a typed error); its
+//!   content is the plan. Seeding and re-dispatch only add links:
+//!   metadata, no new inode and no data write per cell. The work dir
+//!   must therefore be on a filesystem with hard links; without them
+//!   the run fails with a typed [`PipelineError::Store`] error (there
+//!   is no copying fallback).
+//! * **Claim** is `rename(tasks/F, claimed/F.w<worker>)` — atomic on
+//!   POSIX, so a claim race between any number of workers has exactly
+//!   one winner, and the new name records who won; the losers see
+//!   `NotFound` and move on.
+//! * **Heartbeat**: each worker owns `heartbeats/worker-<index>` and one
+//!   thread that moves its mtime every interval for the worker's whole
+//!   life (no body, no per-claim file). The supervisor maps each open
+//!   claim to its worker with one listing of `claimed/` per poll
+//!   ([`ClaimClock::ages`]). A claim whose worker's heartbeat — or,
+//!   before the first beat lands, whose first sighting by the
 //!   supervisor — is older than `stale_after` is declared dead.
 //! * **Epoch** starts at 1 and is part of every file name. When the
-//!   supervisor re-dispatches a cell it writes a fresh task file at
-//!   epoch *e+1*; a zombie worker finishing the old claim publishes to
-//!   the epoch-*e* done path, which the supervisor ignores (latest
-//!   epoch wins, nothing is ever clobbered).
+//!   supervisor re-dispatches a cell it links a fresh task at epoch
+//!   *e+1*; a zombie worker finishing the old claim publishes to the
+//!   epoch-*e* done path, which the supervisor ignores (latest epoch
+//!   wins, nothing is ever clobbered).
 //! * **Publish** is write-to-temp-then-`rename`
-//!   ([`provtrace::write_bytes_durable`]), so the done directory only
+//!   ([`provtrace::write_bytes_atomic`]), so the done directory only
 //!   ever holds complete documents — unless a fault-injection
 //!   deliberately tears one, which the harvest then treats as a failed
-//!   attempt. Results are also fsynced; task,
-//!   heartbeat and stop-sentinel files are atomic but not fsynced,
-//!   since nothing reads them once the run is over.
+//!   attempt.
+//!
+//! **Durability.** Nothing in the run directory is fsynced: the plan,
+//! the task links, heartbeats, results and the stop sentinel are only
+//! read by this run's own processes while it lasts, and there is no
+//! resume — a crash of the machine ends the run with them (a killed
+//! worker process loses no page cache, and the rename still hides torn
+//! writes). What outlives the run is written durably
+//! ([`provtrace::write_bytes_durable`]): the driver's report, the
+//! merged solve cache and trace files.
 //!
 //! Because each cell reuses the exact single-process measurement path
 //! ([`run_matrix_cell_traced`]), the merged report is
@@ -66,15 +88,15 @@
 //! [`InjectSpec`] drives deterministic failures for tests and CI:
 //! `kill-worker=N` (worker N aborts right after its first claim),
 //! `torn-partial[=N]` (worker N tears its first publish and crashes),
-//! `stall=N` (worker N stops heartbeating, oversleeps its claim and
-//! publishes under a superseded epoch), `kill-cell=SYSCALL/TOOL` (any
+//! `stall=N` (worker N pauses its heartbeat, oversleeps its first
+//! claim and publishes under a superseded epoch), `kill-cell=SYSCALL/TOOL` (any
 //! worker claiming that cell crashes — drives retry exhaustion).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 use provmark_core::pipeline::{
     merge_matrix_cells, run_matrix_cell_traced, CellFailure, CellOutcome,
@@ -87,8 +109,11 @@ use crate::{
     artifact, cell_from_json, cell_to_json, check_header, extract_config, insert_config, RunConfig,
 };
 
-/// Version of the cell-task JSON layout.
-pub const CELL_TASK_VERSION: u32 = 1;
+/// Version of the cell-task document: the run plan (`plan.json`) that
+/// every task file is a hard link to. Version 2 moved the cell and the
+/// epoch out of the document into the task file's name, so the
+/// document holds only the run configuration.
+pub const CELL_TASK_VERSION: u32 = 2;
 
 /// Version of the cell-result JSON layout. Version 2 added the
 /// `memo` counter block (solve-memo hits/misses per cell).
@@ -172,8 +197,8 @@ impl MemoCounters {
 }
 
 /// One claimable unit of work: a single `(syscall, tool)` matrix cell
-/// at a claim epoch, carrying the complete run configuration so the
-/// task file alone fully determines the work.
+/// at a claim epoch, together with the run configuration every cell of
+/// the plan shares.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellTask {
     /// Table 2 row (benchmark syscall name).
@@ -193,51 +218,75 @@ impl CellTask {
         format!("{}.t{}", self.syscall, self.tool)
     }
 
-    /// File name of this task/claim/heartbeat/result at this epoch.
+    /// File name of this task/result at this epoch — the task's whole
+    /// on-disk identity.
     pub fn file_name(&self) -> String {
         format!("{}.e{}.json", self.id(), self.epoch)
     }
 
-    /// Render as the versioned cell-task JSON document.
-    pub fn to_json_string(&self) -> String {
-        let mut doc = Map::new();
-        doc.insert("format".into(), Value::String("provmark-cell-task".into()));
-        doc.insert("version".into(), crate::exact_num(CELL_TASK_VERSION.into()));
-        doc.insert(
-            "snapshot_format_version".into(),
-            crate::exact_num(provgraph::snapshot::SNAPSHOT_VERSION.into()),
-        );
-        doc.insert("syscall".into(), Value::String(self.syscall.clone()));
-        doc.insert("tool".into(), crate::exact_num(self.tool as u64));
-        doc.insert("epoch".into(), crate::exact_num(self.epoch.into()));
-        insert_config(&mut doc, &self.config);
-        // provlint: allow(panic-in-lib) -- serialization only fails on non-finite floats; every number here passed exact_num
-        serde_json::to_string_pretty(&Value::Object(doc)).expect("cell task serializes")
-    }
-
-    /// Parse and validate a cell-task document.
+    /// Parse a task file name (`<syscall>.t<tool>.e<epoch>.json`)
+    /// strictly: the syscall must be a Table 2 row, the tool a column
+    /// index, the epoch at least 1, and the name exactly
+    /// [`CellTask::file_name`]'s rendering (no leading zeros or signs).
     ///
     /// # Errors
     ///
-    /// [`PipelineError::ShardArtifact`] on malformed JSON, a wrong
-    /// format tag, an unsupported task version or missing fields;
-    /// [`PipelineError::Snapshot`] when the task was written against a
-    /// different session-snapshot format version (runner skew).
-    pub fn from_json_str(text: &str) -> Result<CellTask, PipelineError> {
-        let doc: Value = serde_json::from_str(text)
-            .map_err(|e| artifact(format!("cell task is not valid JSON: {e}")))?;
-        check_header(&doc, "provmark-cell-task", CELL_TASK_VERSION)?;
-        Ok(CellTask {
-            syscall: doc["syscall"]
-                .as_str()
-                .ok_or_else(|| artifact("cell task is missing `syscall`"))?
-                .to_owned(),
-            tool: crate::get_usize(&doc, "tool")?,
-            epoch: u32::try_from(crate::get_usize(&doc, "epoch")?)
-                .map_err(|_| artifact("epoch outside u32 range"))?,
-            config: extract_config(&doc)?,
-        })
+    /// [`PipelineError::ShardArtifact`] naming the file otherwise.
+    pub fn from_file_name(name: &str, config: RunConfig) -> Result<CellTask, PipelineError> {
+        let bad = || {
+            artifact(format!(
+                "`{name}` is not a task name (expected SYSCALL.tTOOL.eEPOCH.json \
+                 for a Table 2 cell at epoch >= 1)"
+            ))
+        };
+        let (id, epoch) = parse_epoch_name(name).ok_or_else(bad)?;
+        let (syscall, tool) = id.rsplit_once(".t").ok_or_else(bad)?;
+        let task = CellTask {
+            syscall: syscall.to_owned(),
+            tool: tool.parse().map_err(|_| bad())?,
+            epoch,
+            config,
+        };
+        let known = provmark_core::suite::table2()
+            .iter()
+            .any(|exp| exp.syscall == task.syscall);
+        let tools = provmark_core::tool::ToolKind::all().len();
+        if !known || task.tool >= tools || task.epoch == 0 || task.file_name() != name {
+            return Err(bad());
+        }
+        Ok(task)
     }
+}
+
+/// Render the run plan — the versioned cell-task document
+/// ([`CELL_TASK_VERSION`]) that every task file links to. It carries the
+/// configuration only; the cell and epoch are the task file's name.
+pub fn plan_to_json_string(config: &RunConfig) -> String {
+    let mut doc = Map::new();
+    doc.insert("format".into(), Value::String("provmark-cell-task".into()));
+    doc.insert("version".into(), crate::exact_num(CELL_TASK_VERSION.into()));
+    doc.insert(
+        "snapshot_format_version".into(),
+        crate::exact_num(provgraph::snapshot::SNAPSHOT_VERSION.into()),
+    );
+    insert_config(&mut doc, config);
+    // provlint: allow(panic-in-lib) -- serialization only fails on non-finite floats; every number here passed exact_num
+    serde_json::to_string_pretty(&Value::Object(doc)).expect("run plan serializes")
+}
+
+/// Parse and validate a run plan document.
+///
+/// # Errors
+///
+/// [`PipelineError::ShardArtifact`] on malformed JSON, a wrong format
+/// tag, an unsupported task version or missing fields;
+/// [`PipelineError::Snapshot`] when the plan was written against a
+/// different session-snapshot format version (runner skew).
+pub fn plan_from_json_str(text: &str) -> Result<RunConfig, PipelineError> {
+    let doc: Value = serde_json::from_str(text)
+        .map_err(|e| artifact(format!("run plan is not valid JSON: {e}")))?;
+    check_header(&doc, "provmark-cell-task", CELL_TASK_VERSION)?;
+    extract_config(&doc)
 }
 
 /// The published outcome of one cell claim: the task identity plus the
@@ -293,7 +342,7 @@ impl CellResult {
     /// # Errors
     ///
     /// [`PipelineError::ShardArtifact`] / [`PipelineError::Snapshot`] on
-    /// the same header conditions as [`CellTask::from_json_str`].
+    /// the same header conditions as [`plan_from_json_str`].
     pub fn from_json_str(text: &str) -> Result<CellResult, PipelineError> {
         let doc: Value = serde_json::from_str(text)
             .map_err(|e| artifact(format!("cell result is not valid JSON: {e}")))?;
@@ -330,18 +379,25 @@ pub fn plan_cells(config: &RunConfig) -> Vec<CellTask> {
         .collect()
 }
 
-/// The shared run directory: four subdirectories implementing the
-/// claim protocol (`tasks/`, `claimed/`, `heartbeats/`, `done/`) plus
-/// a `stop` sentinel file.
+/// The shared run directory: the run plan (`plan.json`), four
+/// subdirectories implementing the claim protocol (`tasks/`,
+/// `claimed/`, `heartbeats/`, `done/`) and a `stop` sentinel file.
 ///
-/// Cloneable and freely shareable — it holds only the root path; all
-/// state lives on the filesystem.
+/// Cloneable and freely shareable — it holds the root path and the run
+/// configuration read from the plan; all protocol state lives on the
+/// filesystem.
 #[derive(Debug, Clone)]
 pub struct TaskStore {
     root: PathBuf,
+    /// The plan's run configuration; `None` only for a store initialized
+    /// without tasks.
+    plan: Option<RunConfig>,
 }
 
 impl TaskStore {
+    fn plan_file(&self) -> PathBuf {
+        self.root.join("plan.json")
+    }
     fn tasks(&self) -> PathBuf {
         self.root.join("tasks")
     }
@@ -358,16 +414,32 @@ impl TaskStore {
         self.root.join("stop")
     }
 
-    /// Initialize a fresh run directory and seed it with `tasks`.
+    /// Initialize a fresh run directory: write the tasks' shared run
+    /// configuration once to `plan.json`, then link one task file per
+    /// task into `tasks/`. An empty `tasks` writes no plan.
     ///
     /// # Errors
     ///
     /// [`PipelineError::ShardArtifact`] when the directory already
-    /// holds a run (stale tasks or results would silently mix into the
-    /// new run); [`PipelineError::Store`] on I/O failure.
+    /// holds a run (stale tasks, claims or results would silently mix
+    /// into the new run) or when the tasks do not share one run
+    /// configuration; [`PipelineError::Store`] on I/O failure,
+    /// including a filesystem without hard links.
     pub fn init(root: &Path, tasks: &[CellTask]) -> Result<TaskStore, PipelineError> {
+        let plan = match tasks {
+            [] => None,
+            [first, rest @ ..] => {
+                if rest.iter().any(|task| task.config != first.config) {
+                    return Err(artifact(
+                        "every task of a plan must share one run configuration",
+                    ));
+                }
+                Some(first.config.clone())
+            }
+        };
         let store = TaskStore {
             root: root.to_owned(),
+            plan,
         };
         for dir in [
             store.tasks(),
@@ -377,7 +449,7 @@ impl TaskStore {
         ] {
             std::fs::create_dir_all(&dir)?;
         }
-        for dir in [store.tasks(), store.done()] {
+        for dir in [store.tasks(), store.claimed(), store.done()] {
             if std::fs::read_dir(&dir)?.next().is_some() {
                 return Err(artifact(format!(
                     "work dir `{}` already contains a run ({} is not empty); \
@@ -388,64 +460,85 @@ impl TaskStore {
             }
         }
         std::fs::remove_file(store.stop_file()).ok();
-        for task in tasks {
-            store.write_task(task)?;
+        if let Some(config) = &store.plan {
+            provtrace::write_bytes_atomic(
+                &store.plan_file(),
+                plan_to_json_string(config).as_bytes(),
+            )?;
+            for task in tasks {
+                store.link_task(task)?;
+            }
         }
         Ok(store)
     }
 
-    /// Write a claimable task file. Atomic, so a worker never claims a
-    /// torn task, but not fsynced: a task is only read by this run's
-    /// workers, and a crash of the machine ends the run with them.
-    fn write_task(&self, task: &CellTask) -> Result<(), PipelineError> {
-        let path = self.tasks().join(task.file_name());
-        provtrace::write_bytes_atomic(&path, task.to_json_string().as_bytes())?;
+    /// Make `task` claimable: hard-link `plan.json` into `tasks/` under
+    /// the task's name. A link is metadata only, and a worker never
+    /// sees a partial task because the plan is complete before the
+    /// first link exists.
+    fn link_task(&self, task: &CellTask) -> Result<(), PipelineError> {
+        std::fs::hard_link(self.plan_file(), self.tasks().join(task.file_name()))?;
         Ok(())
     }
 
     /// Open an existing run directory (the worker side of
-    /// [`TaskStore::init`]).
+    /// [`TaskStore::init`]) and read its plan.
     ///
     /// # Errors
     ///
     /// [`PipelineError::ShardArtifact`] when the directory does not
-    /// hold an elastic run.
+    /// hold an elastic run or its plan is malformed or from another
+    /// format version; [`PipelineError::Snapshot`] on snapshot-format
+    /// skew.
     pub fn open(root: &Path) -> Result<TaskStore, PipelineError> {
-        let store = TaskStore {
+        let mut store = TaskStore {
             root: root.to_owned(),
+            plan: None,
+        };
+        let not_a_run = || {
+            artifact(format!(
+                "`{}` is not an elastic run directory (no plan.json, tasks/ or done/)",
+                root.display()
+            ))
         };
         if !store.tasks().is_dir() || !store.done().is_dir() {
-            return Err(artifact(format!(
-                "`{}` is not an elastic run directory (no tasks/done subdirectories)",
-                root.display()
-            )));
+            return Err(not_a_run());
         }
+        let text = std::fs::read_to_string(store.plan_file()).map_err(|_| not_a_run())?;
+        store.plan = Some(plan_from_json_str(&text).map_err(|e| match e {
+            PipelineError::ShardArtifact { detail } => {
+                artifact(format!("plan `{}`: {detail}", store.plan_file().display()))
+            }
+            other => other,
+        })?);
         Ok(store)
     }
 
     /// Try to claim the task file `file_name` by atomically renaming it
-    /// into `claimed/`. Exactly one concurrent claimant wins; everyone
-    /// else observes `Ok(None)`. On success the first heartbeat is
-    /// written.
+    /// to `claimed/{file_name}.w{worker}`. Exactly one concurrent
+    /// claimant wins; everyone else observes `Ok(None)`.
     ///
     /// # Errors
     ///
-    /// [`PipelineError::Store`] on I/O failure,
-    /// [`PipelineError::ShardArtifact`] on a malformed task file.
+    /// [`PipelineError::ShardArtifact`] when `file_name` is not a
+    /// strictly valid task name (the file is left where it is) or the
+    /// store has no plan; [`PipelineError::Store`] on I/O failure.
     pub fn try_claim(
         &self,
         file_name: &str,
         worker: usize,
     ) -> Result<Option<CellTask>, PipelineError> {
-        let claimed = self.claimed().join(file_name);
-        match std::fs::rename(self.tasks().join(file_name), &claimed) {
-            Ok(()) => {}
-            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
+        let config = self
+            .plan
+            .clone()
+            .ok_or_else(|| artifact("this run directory has no plan to claim from"))?;
+        let task = CellTask::from_file_name(file_name, config)?;
+        let claimed = self.claimed().join(format!("{file_name}.w{worker}"));
+        match std::fs::rename(self.tasks().join(file_name), claimed) {
+            Ok(()) => Ok(Some(task)),
+            Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e.into()),
         }
-        let task = CellTask::from_json_str(&std::fs::read_to_string(&claimed)?)?;
-        self.write_heartbeat(&task, worker)?;
-        Ok(Some(task))
     }
 
     /// Claim the first available task (by sorted file name, for
@@ -471,48 +564,60 @@ impl TaskStore {
         Ok(None)
     }
 
-    /// Refresh the heartbeat for a claim. The supervisor only reads the
-    /// file's mtime; the body (pid + worker index) is for operators. Not
-    /// fsynced: a beat lost to a crash only makes the claim look older.
+    /// Every claim in `claimed/`, mapped to the worker that made it:
+    /// `(cell id, epoch) -> worker index`, from one directory listing.
+    /// Names that are not `{task}.w{index}` are skipped.
     ///
     /// # Errors
     ///
     /// [`PipelineError::Store`] on I/O failure.
-    pub fn write_heartbeat(&self, task: &CellTask, worker: usize) -> Result<(), PipelineError> {
-        let mut doc = Map::new();
-        doc.insert("format".into(), Value::String("provmark-heartbeat".into()));
-        doc.insert("pid".into(), crate::exact_num(std::process::id().into()));
-        doc.insert("worker".into(), crate::exact_num(worker as u64));
-        doc.insert("epoch".into(), crate::exact_num(task.epoch.into()));
-        // provlint: allow(panic-in-lib) -- serialization only fails on non-finite floats; every number here passed exact_num
-        let text = serde_json::to_string_pretty(&Value::Object(doc)).expect("heartbeat serializes");
-        provtrace::write_bytes_atomic(&self.heartbeats().join(task.file_name()), text.as_bytes())?;
-        Ok(())
+    pub fn claimants(&self) -> Result<BTreeMap<(String, u32), usize>, PipelineError> {
+        let mut claims = BTreeMap::new();
+        for entry in std::fs::read_dir(self.claimed())? {
+            let name = entry?.file_name().to_string_lossy().into_owned();
+            let parsed = name
+                .rsplit_once(".w")
+                .and_then(|(task, worker)| Some((parse_epoch_name(task)?, worker.parse().ok()?)));
+            if let Some((claim, worker)) = parsed {
+                claims.insert(claim, worker);
+            }
+        }
+        Ok(claims)
     }
 
-    /// Age of a claim's heartbeat file; `None` while it has none. The
-    /// claimed file's mtime is no liveness signal: `rename` keeps the
-    /// stamp of the plan or re-dispatch that wrote the task. An mtime
-    /// ahead of the system clock counts as a fresh beat.
-    pub fn heartbeat_age(&self, id: &str, epoch: u32) -> Option<Duration> {
-        let path = self.heartbeats().join(format!("{id}.e{epoch}.json"));
-        let mtime = std::fs::metadata(path).and_then(|m| m.modified()).ok()?;
+    /// Worker `worker`'s heartbeat file, `heartbeats/worker-{worker}`.
+    /// Nothing is touched until its first [`Heartbeat::beat`].
+    pub fn heartbeat(&self, worker: usize) -> Heartbeat {
+        Heartbeat {
+            path: self.heartbeat_path(worker),
+            file: None,
+        }
+    }
+
+    fn heartbeat_path(&self, worker: usize) -> PathBuf {
+        self.heartbeats().join(format!("worker-{worker}"))
+    }
+
+    /// Age of worker `worker`'s last heartbeat; `None` before its first
+    /// beat. An mtime ahead of the system clock counts as a fresh beat.
+    pub fn heartbeat_age(&self, worker: usize) -> Option<Duration> {
+        let mtime = std::fs::metadata(self.heartbeat_path(worker))
+            .and_then(|m| m.modified())
+            .ok()?;
         Some(mtime.elapsed().unwrap_or(Duration::ZERO))
     }
 
     /// Atomically publish a cell result to `done/` — the only way an
     /// uninjected worker writes a result, so readers never observe a
-    /// torn document at the final path.
+    /// torn document at the final path. Not fsynced: only this run's
+    /// supervisor reads it, and a crash of the machine ends the run.
     ///
     /// # Errors
     ///
     /// [`PipelineError::Store`] on I/O failure.
     pub fn publish(&self, result: &CellResult) -> Result<(), PipelineError> {
         let name = format!("{}.t{}.e{}.json", result.syscall, result.tool, result.epoch);
-        provtrace::write_bytes_durable(
-            &self.done().join(name),
-            result.to_json_string().as_bytes(),
-        )?;
+        provtrace::write_bytes_atomic(&self.done().join(name), result.to_json_string().as_bytes())?;
         Ok(())
     }
 
@@ -569,24 +674,19 @@ impl TaskStore {
         })
     }
 
-    /// `true` while the task file for this claim is still unclaimed.
-    pub fn task_pending(&self, task: &CellTask) -> bool {
-        self.tasks().join(task.file_name()).exists()
-    }
-
     /// `true` once a result for this claim epoch has been published.
     pub fn done_exists(&self, id: &str, epoch: u32) -> bool {
         self.done().join(format!("{id}.e{epoch}.json")).exists()
     }
 
-    /// Re-dispatch a cell: write its task file (already carrying the
-    /// bumped epoch) back into `tasks/` for any worker to claim.
+    /// Re-dispatch a cell: link its task (already carrying the bumped
+    /// epoch) back into `tasks/` for any worker to claim.
     ///
     /// # Errors
     ///
     /// [`PipelineError::Store`] on I/O failure.
     pub fn requeue(&self, task: &CellTask) -> Result<(), PipelineError> {
-        self.write_task(task)
+        self.link_task(task)
     }
 
     /// Raise the stop sentinel: workers exit cleanly at their next poll.
@@ -607,6 +707,38 @@ impl TaskStore {
     }
 }
 
+/// One worker's liveness file (see [`TaskStore::heartbeat`]). Only its
+/// mtime matters: the first beat creates the empty file, and every beat
+/// moves its mtime to now — one metadata update, no write, no rename.
+#[derive(Debug)]
+pub struct Heartbeat {
+    path: PathBuf,
+    file: Option<std::fs::File>,
+}
+
+impl Heartbeat {
+    /// Mark the worker alive now.
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::Store`] on I/O failure.
+    pub fn beat(&mut self) -> Result<(), PipelineError> {
+        let file = match &mut self.file {
+            Some(file) => file,
+            None => self.file.insert(
+                std::fs::File::options()
+                    .create(true)
+                    .truncate(false)
+                    .write(true)
+                    .open(&self.path)?,
+            ),
+        };
+        // provlint: allow(direct-clock) -- a liveness stamp read only by the supervisor's staleness check; report bytes are time-free
+        file.set_modified(SystemTime::now())?;
+        Ok(())
+    }
+}
+
 /// Parse `"{id}.e{epoch}.json"` into `(id, epoch)`.
 fn parse_epoch_name(name: &str) -> Option<(String, u32)> {
     let stem = name.strip_suffix(".json")?;
@@ -618,16 +750,16 @@ fn parse_epoch_name(name: &str) -> Option<(String, u32)> {
 /// (`--inject kill-worker=1,torn-partial,stall=2,kill-cell=creat/0`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InjectSpec {
-    /// Worker index that aborts right after its first claim (dead
-    /// worker with a fresh heartbeat — the supervisor must detect the
-    /// claim going stale).
+    /// Worker index that aborts right after its first claim (a dead
+    /// worker with a fresh claim — the supervisor must detect the claim
+    /// going stale once the worker's heartbeat stops).
     pub kill_worker: Option<usize>,
     /// Worker index that writes a torn result to the final done path on
     /// its first publish and then crashes.
     pub torn_partial: Option<usize>,
-    /// Worker index that stops heartbeating on its first claim,
-    /// oversleeps past staleness and publishes under the superseded
-    /// epoch (exercises stale-epoch rejection).
+    /// Worker index that pauses its heartbeat thread on its first
+    /// claim, oversleeps past staleness, resumes and publishes under the
+    /// superseded epoch (exercises stale-epoch rejection).
     pub stall_worker: Option<usize>,
     /// `(syscall, tool)` cell whose every claimant crashes — drives
     /// retry exhaustion.
@@ -717,8 +849,10 @@ pub struct ElasticOptions {
     /// A claim whose heartbeat is older than this is declared dead and
     /// re-dispatched.
     pub stale_after: Duration,
-    /// How often workers refresh their heartbeat while solving (clamped
-    /// to at most `stale_after / 4`).
+    /// How often each worker's heartbeat thread moves the mtime of its
+    /// `heartbeats/worker-<index>` file, for the worker's whole life
+    /// (clamped to at most `stale_after / 4`, so a live worker beats at
+    /// least four times per staleness window).
     pub heartbeat_interval: Duration,
     /// Worker / supervisor poll interval.
     pub poll_interval: Duration,
@@ -801,7 +935,7 @@ pub struct WorkerContext {
     /// the initial pool size, so index-keyed injections fire at most
     /// once).
     pub index: usize,
-    /// Heartbeat refresh interval while solving.
+    /// Interval of the worker's heartbeat thread.
     pub heartbeat_interval: Duration,
     /// Sleep between idle polls of the task directory.
     pub poll_interval: Duration,
@@ -830,15 +964,17 @@ pub enum WorkerEnd {
 
 /// The claim-solve-publish loop run by every worker.
 ///
-/// Claims tasks until the stop sentinel appears, refreshing a heartbeat
-/// in a background thread while each cell solves, and publishing every
-/// result atomically. Fault injections deterministically divert the
-/// loop (see [`InjectSpec`]).
+/// Claims tasks until the stop sentinel appears and publishes every
+/// result atomically. One heartbeat thread lives as long as the loop
+/// and moves the mtime of this worker's heartbeat file every
+/// [`WorkerContext::heartbeat_interval`]. Fault injections
+/// deterministically divert the loop (see [`InjectSpec`]).
 ///
 /// # Errors
 ///
-/// [`PipelineError`] on I/O failures or malformed task files — the
-/// worker dies, its claim goes stale, and the supervisor re-dispatches.
+/// [`PipelineError`] on I/O failures or malformed task names — the
+/// worker dies, its heartbeat stops, its claims go stale, and the
+/// supervisor re-dispatches them.
 pub fn worker_loop(store: &TaskStore, ctx: &WorkerContext) -> Result<WorkerEnd, PipelineError> {
     let tracer = make_tracer(&ctx.trace, &format!("worker-{}", ctx.index));
     tracer.event("worker.start", None, || {
@@ -847,6 +983,61 @@ pub fn worker_loop(store: &TaskStore, ctx: &WorkerContext) -> Result<WorkerEnd, 
             ("pid", provtrace::Field::from(std::process::id())),
         ]
     });
+    // Dropping `beats` when the loop ends (also on unwind) wakes the
+    // heartbeat thread at once, so the worker never waits out an
+    // interval to exit.
+    let (beats, beat_timer) = mpsc::channel::<Beat>();
+    std::thread::scope(|scope| {
+        let tracer = &tracer;
+        scope.spawn(move || heartbeat_loop(store, ctx, tracer, beat_timer));
+        let end = claim_loop(store, ctx, tracer, &beats);
+        drop(beats);
+        end
+    })
+}
+
+/// A message to a worker's heartbeat thread.
+enum Beat {
+    /// Stop beating (the `stall` injection).
+    Pause,
+    /// Beat again from the next interval on.
+    Resume,
+}
+
+/// The heartbeat thread: beat after every interval until the worker's
+/// loop ends, skipping beats while paused. Each beat emits a `heartbeat`
+/// trace event carrying the worker index.
+fn heartbeat_loop(
+    store: &TaskStore,
+    ctx: &WorkerContext,
+    tracer: &provtrace::Tracer,
+    beats: mpsc::Receiver<Beat>,
+) {
+    let mut heartbeat = store.heartbeat(ctx.index);
+    let mut paused = false;
+    loop {
+        match beats.recv_timeout(ctx.heartbeat_interval) {
+            Ok(Beat::Pause) => paused = true,
+            Ok(Beat::Resume) => paused = false,
+            Err(RecvTimeoutError::Timeout) if !paused => {
+                heartbeat.beat().ok();
+                tracer.event("heartbeat", None, || {
+                    vec![("worker", provtrace::Field::from(ctx.index))]
+                });
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return,
+        }
+    }
+}
+
+/// The body of [`worker_loop`], run beside the heartbeat thread.
+fn claim_loop(
+    store: &TaskStore,
+    ctx: &WorkerContext,
+    tracer: &provtrace::Tracer,
+    beats: &mpsc::Sender<Beat>,
+) -> Result<WorkerEnd, PipelineError> {
     // One memo for the worker's whole lifetime: entries earned on one
     // cell answer replays on every later cell (content-hash keys are
     // session- and process-independent). Warmed lazily from the shared
@@ -871,7 +1062,7 @@ pub fn worker_loop(store: &TaskStore, ctx: &WorkerContext) -> Result<WorkerEnd, 
         tracer.event("worker.exit", parent, || {
             vec![("status", provtrace::Field::from(reason))]
         });
-        flush_tracer(&tracer, &ctx.trace);
+        flush_tracer(tracer, &ctx.trace);
         Ok(WorkerEnd::Crashed(reason))
     };
     loop {
@@ -879,7 +1070,7 @@ pub fn worker_loop(store: &TaskStore, ctx: &WorkerContext) -> Result<WorkerEnd, 
             tracer.event("worker.exit", None, || {
                 vec![("status", provtrace::Field::from("stopped"))]
             });
-            flush_tracer(&tracer, &ctx.trace);
+            flush_tracer(tracer, &ctx.trace);
             return Ok(WorkerEnd::Stopped);
         }
         let Some(task) = store.claim_next(ctx.index)? else {
@@ -895,8 +1086,8 @@ pub fn worker_loop(store: &TaskStore, ctx: &WorkerContext) -> Result<WorkerEnd, 
         let injected_first = first_claim;
         first_claim = false;
         if injected_first && ctx.inject.kill_worker == Some(ctx.index) {
-            // Die with a fresh claim + heartbeat on the books: the
-            // supervisor must notice the heartbeat going stale.
+            // Die with a fresh claim on the books: the supervisor must
+            // notice the claim going stale once the heartbeat stops.
             return crash("injected kill-worker", claim_span);
         }
         if let Some((syscall, tool)) = &ctx.inject.kill_cell {
@@ -904,11 +1095,12 @@ pub fn worker_loop(store: &TaskStore, ctx: &WorkerContext) -> Result<WorkerEnd, 
                 return crash("injected kill-cell", claim_span);
             }
         }
-        let stalling = injected_first && ctx.inject.stall_worker == Some(ctx.index);
-        if stalling {
-            // No heartbeat refresh, oversleep past staleness, then fall
+        if injected_first && ctx.inject.stall_worker == Some(ctx.index) {
+            // Pause the heartbeat and oversleep past staleness, then fall
             // through and publish under the (by now superseded) epoch.
+            beats.send(Beat::Pause).ok();
             std::thread::sleep(ctx.stall);
+            beats.send(Beat::Resume).ok();
         }
         let memo_ref = if task.config.opts.use_solve_memo {
             if !warmed {
@@ -929,39 +1121,15 @@ pub fn worker_loop(store: &TaskStore, ctx: &WorkerContext) -> Result<WorkerEnd, 
             None
         };
         let counters_before = MemoCounters::of(&memo);
-        // The claim wrote the first heartbeat; refresh it every interval
-        // until the cell ends. Dropping `cell_done` (also on unwind) wakes
-        // the heartbeat thread at once, so no cell waits out an interval.
-        let (cell_done, beat_timer) = mpsc::channel::<()>();
-        let cell = std::thread::scope(|scope| {
-            if !stalling {
-                let (task, tracer) = (&task, &tracer);
-                scope.spawn(move || {
-                    while let Err(RecvTimeoutError::Timeout) =
-                        beat_timer.recv_timeout(ctx.heartbeat_interval)
-                    {
-                        store.write_heartbeat(task, ctx.index).ok();
-                        tracer.event("heartbeat", claim_span, || {
-                            vec![
-                                ("cell", provtrace::Field::from(task.id())),
-                                ("epoch", provtrace::Field::from(task.epoch)),
-                            ]
-                        });
-                    }
-                });
-            }
-            let cell = run_matrix_cell_traced(
-                &task.syscall,
-                task.tool,
-                &task.config.opts,
-                task.config.opus_db_iterations,
-                memo_ref,
-                &tracer,
-                claim_span,
-            );
-            drop(cell_done);
-            cell
-        })?;
+        let cell = run_matrix_cell_traced(
+            &task.syscall,
+            task.tool,
+            &task.config.opts,
+            task.config.opus_db_iterations,
+            memo_ref,
+            tracer,
+            claim_span,
+        )?;
         let result = CellResult {
             syscall: task.syscall.clone(),
             tool: task.tool,
@@ -1002,7 +1170,7 @@ pub fn worker_loop(store: &TaskStore, ctx: &WorkerContext) -> Result<WorkerEnd, 
         tracer.span_exit("claim", claim_span);
         // Cumulative durable flush after every publish: a worker killed
         // later still leaves a readable trace of everything up to here.
-        flush_tracer(&tracer, &ctx.trace);
+        flush_tracer(tracer, &ctx.trace);
     }
 }
 
@@ -1368,21 +1536,39 @@ struct Slot {
 }
 
 /// The supervisor's liveness clock. A claim's age is the younger of its
-/// heartbeat's age and the time since the supervisor first saw the claim,
-/// so a claim caught between its rename and its first heartbeat is
-/// never older than the scan that found it.
-#[derive(Default)]
-struct ClaimClock {
+/// worker's heartbeat age and the time since the supervisor first saw
+/// the claim, so a claim made before its worker's first beat is never
+/// older than the scan that found it.
+#[derive(Debug, Default)]
+pub struct ClaimClock {
     first_seen: BTreeMap<(String, u32), Instant>,
 }
 
 impl ClaimClock {
-    fn age(&mut self, store: &TaskStore, id: &str, epoch: u32, now: Instant) -> Duration {
-        let seen = *self.first_seen.entry((id.to_owned(), epoch)).or_insert(now);
-        let since_seen = now.saturating_duration_since(seen);
-        store
-            .heartbeat_age(id, epoch)
-            .map_or(since_seen, |beat| beat.min(since_seen))
+    /// Age every claim in `claimed/` at `now`, keyed by
+    /// `(cell id, epoch)`: one listing of `claimed/` maps each claim to
+    /// its worker, and one heartbeat `stat` per claimant worker ages
+    /// them all. A claim seen for the first time is zero old.
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::Store`] when `claimed/` cannot be listed.
+    pub fn ages(
+        &mut self,
+        store: &TaskStore,
+        now: Instant,
+    ) -> Result<BTreeMap<(String, u32), Duration>, PipelineError> {
+        let mut beats: BTreeMap<usize, Option<Duration>> = BTreeMap::new();
+        let mut ages = BTreeMap::new();
+        for (claim, worker) in store.claimants()? {
+            let beat = *beats
+                .entry(worker)
+                .or_insert_with(|| store.heartbeat_age(worker));
+            let seen = *self.first_seen.entry(claim.clone()).or_insert(now);
+            let since_seen = now.saturating_duration_since(seen);
+            ages.insert(claim, beat.map_or(since_seen, |beat| beat.min(since_seen)));
+        }
+        Ok(ages)
     }
 }
 
@@ -1555,36 +1741,34 @@ fn supervise(
             );
         }
 
-        // Staleness: an open, claimed, unpublished cell whose heartbeat
-        // is too old has lost its worker.
+        // Staleness: an open, claimed, unpublished cell whose worker's
+        // heartbeat is too old has lost its worker. The report carries
+        // only the epoch; the age goes to the trace and stderr.
         // provlint: allow(direct-clock) -- liveness/backoff scheduling only; report bytes are time-free
         let now = Instant::now();
-        let mut stale: Vec<(String, String)> = Vec::new();
+        let ages = claim_clock.ages(store, now)?;
+        let mut stale: Vec<(String, u32, Duration)> = Vec::new();
         for (id, slot) in &slots {
-            if !matches!(slot.state, SlotState::Open)
-                || pending.contains_key(id)
-                || store.task_pending(&slot.task)
-                || store.done_exists(id, slot.task.epoch)
-            {
+            if !matches!(slot.state, SlotState::Open) || pending.contains_key(id) {
                 continue;
             }
-            let age = claim_clock.age(store, id, slot.task.epoch, now);
-            if age > opts.stale_after {
-                stale.push((
-                    id.clone(),
-                    format!(
-                        "heartbeat went stale at epoch {} ({}ms without a beat)",
-                        slot.task.epoch,
-                        age.as_millis()
-                    ),
-                ));
+            let epoch = slot.task.epoch;
+            match ages.get(&(id.clone(), epoch)) {
+                Some(age) if *age > opts.stale_after && !store.done_exists(id, epoch) => {
+                    stale.push((id.clone(), epoch, *age));
+                }
+                _ => {}
             }
         }
-        for (id, detail) in stale {
+        for (id, epoch, age) in stale {
+            let detail = format!("heartbeat went stale at epoch {epoch}");
+            let age_ms = u64::try_from(age.as_millis()).unwrap_or(u64::MAX);
+            eprintln!("elastic: cell `{id}`: {detail} ({age_ms}ms without a beat)");
             tracer.event("stale.detect", exec_span, || {
                 vec![
                     ("cell", provtrace::Field::from(id.clone())),
                     ("detail", provtrace::Field::from(detail.clone())),
+                    ("age_ms", provtrace::Field::from(age_ms)),
                 ]
             });
             fail_attempt(
@@ -1742,9 +1926,9 @@ fn stall_duration(opts: &ElasticOptions) -> Duration {
 /// **processes** (`provmark-shard work …`), supervising claims,
 /// heartbeats and re-dispatch in this process.
 ///
-/// `work_dir` becomes the shared run directory (tasks, claims,
+/// `work_dir` becomes the shared run directory (the plan, claims,
 /// heartbeats, results and per-worker stderr captures are kept for
-/// inspection).
+/// inspection); it must be on a filesystem with hard links.
 ///
 /// # Errors
 ///
@@ -1885,7 +2069,6 @@ fn merge_after_drive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::SystemTime;
 
     fn store_with_one_task(tag: &str) -> (TaskStore, CellTask, PathBuf) {
         let dir =
@@ -1910,35 +2093,33 @@ mod tests {
             .unwrap();
     }
 
-    /// The state a scan can catch mid-claim: the task is renamed into
-    /// `claimed/` with its hour-old plan-time mtime, and no heartbeat
-    /// exists yet. It must read as a brand-new claim, not an hour-old one.
+    /// The state a scan can catch right after a claim: the task is
+    /// renamed into `claimed/` with its hour-old plan-time mtime, and its
+    /// worker has not beaten yet. It must read as a brand-new claim, not
+    /// an hour-old one.
     #[test]
     fn claim_without_a_heartbeat_ages_from_first_sight() {
-        let (store, task, dir) = store_with_one_task("window");
+        let (store, mut task, dir) = store_with_one_task("window");
         let hour_ago = SystemTime::now() - Duration::from_secs(3600);
         set_mtime(&store.tasks().join(task.file_name()), hour_ago);
-        std::fs::rename(
-            store.tasks().join(task.file_name()),
-            store.claimed().join(task.file_name()),
-        )
-        .unwrap();
-        assert_eq!(store.heartbeat_age(&task.id(), 1), None);
+        store.try_claim(&task.file_name(), 0).unwrap().unwrap();
+        assert_eq!(store.heartbeat_age(0), None);
 
+        let id = task.id();
+        let key = |epoch: u32| (id.clone(), epoch);
         let mut clock = ClaimClock::default();
         let seen = Instant::now();
-        assert_eq!(clock.age(&store, &task.id(), 1, seen), Duration::ZERO);
-        // A claim that never beats still goes stale, counted from sight.
+        assert_eq!(clock.ages(&store, seen).unwrap()[&key(1)], Duration::ZERO);
+        // A claim whose worker never beats still goes stale, counted
+        // from sight.
         let stale_after = Duration::from_millis(300);
-        assert_eq!(
-            clock.age(&store, &task.id(), 1, seen + stale_after * 2),
-            stale_after * 2
-        );
+        let later = seen + stale_after * 2;
+        assert_eq!(clock.ages(&store, later).unwrap()[&key(1)], stale_after * 2);
         // A re-dispatch is a new claim with its own first sighting.
-        assert_eq!(
-            clock.age(&store, &task.id(), 2, seen + stale_after * 2),
-            Duration::ZERO
-        );
+        task.epoch = 2;
+        store.requeue(&task).unwrap();
+        store.try_claim(&task.file_name(), 1).unwrap().unwrap();
+        assert_eq!(clock.ages(&store, later).unwrap()[&key(2)], Duration::ZERO);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1946,20 +2127,26 @@ mod tests {
     fn heartbeat_bounds_the_age_of_a_long_watched_claim() {
         let (store, task, dir) = store_with_one_task("beat");
         let claimed = store.try_claim(&task.file_name(), 0).unwrap().unwrap();
+        store.heartbeat(0).beat().unwrap();
+        let key = (claimed.id(), 1);
         let mut clock = ClaimClock::default();
         let seen = Instant::now();
-        clock.age(&store, &claimed.id(), 1, seen);
-        let later = clock.age(&store, &claimed.id(), 1, seen + Duration::from_secs(3600));
+        clock.ages(&store, seen).unwrap();
+        let later = clock
+            .ages(&store, seen + Duration::from_secs(3600))
+            .unwrap()[&key];
         assert!(
             later < Duration::from_secs(60),
-            "fresh heartbeat wins: {later:?}"
+            "the worker's fresh heartbeat wins: {later:?}"
         );
 
         // An mtime ahead of the system clock is a fresh beat, not a
         // missing one.
-        let beat = store.heartbeats().join(claimed.file_name());
-        set_mtime(&beat, SystemTime::now() + Duration::from_secs(3600));
-        assert_eq!(store.heartbeat_age(&claimed.id(), 1), Some(Duration::ZERO));
+        set_mtime(
+            &store.heartbeats().join("worker-0"),
+            SystemTime::now() + Duration::from_secs(3600),
+        );
+        assert_eq!(store.heartbeat_age(0), Some(Duration::ZERO));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

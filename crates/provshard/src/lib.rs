@@ -8,16 +8,18 @@
 //! - **`single`**: [`single_report`] runs the whole matrix in this
 //!   process (`provmark_core::pipeline::run_matrix`). It is the
 //!   reference that every drive is diffed against.
-//! - **`drive` / `work`**: the [`elastic`] protocol writes one claimable
-//!   task file per cell into a shared run directory and supervises N
-//!   worker processes (`provmark-shard work …`) that claim, solve and
-//!   publish cells. Claims of dead or stalled workers are re-dispatched
-//!   under a bumped epoch; cells that exhaust their retries become typed
-//!   `lost:` cells instead of poisoning the run.
+//! - **`drive` / `work`**: the [`elastic`] protocol writes the run plan
+//!   once into a shared run directory, links one claimable task file per
+//!   cell to it, and supervises N worker processes (`provmark-shard
+//!   work …`) that claim, solve and publish cells. Claims of dead or
+//!   stalled workers are re-dispatched under a bumped epoch; cells that
+//!   exhaust their retries become typed `lost:` cells instead of
+//!   poisoning the run.
 //!
 //! # Artifact versioning
 //!
-//! Both cell artifacts ([`elastic::CellTask`] and [`elastic::CellResult`])
+//! Both cell artifacts — the run plan every task file links to
+//! ([`elastic::plan_to_json_string`]) and [`elastic::CellResult`] —
 //! carry a `format` tag and a `version` number
 //! ([`elastic::CELL_TASK_VERSION`] / [`elastic::CELL_RESULT_VERSION`]),
 //! plus the [`provgraph::snapshot::SNAPSHOT_VERSION`] of the session
@@ -41,8 +43,9 @@ use serde_json::{Map, Value};
 /// CI smoke configuration; same scale as the tier-1 matrix test).
 pub const QUICK_OPUS_DB_ITERATIONS: u64 = 500;
 
-/// The full configuration of a matrix run, shipped inside every cell
-/// task so workers need nothing but the artifact.
+/// The full configuration of a matrix run, shipped in the run plan that
+/// every cell task links to, so workers need nothing but the run
+/// directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunConfig {
     /// Pipeline options (trials, seed, noise, filtering).
@@ -71,7 +74,7 @@ impl RunConfig {
 }
 
 /// Write the run configuration into an artifact document — shared by
-/// cell tasks and cell results, so the supervisor can verify that every
+/// the run plan and cell results, so the supervisor can verify that every
 /// result was measured under the planned configuration.
 ///
 /// The seed is serialized as a **string**: the vendored JSON shim backs
@@ -266,16 +269,7 @@ pub fn single_report(config: &RunConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elastic::{CellResult, CellTask, MemoCounters};
-
-    fn sample_task(config: RunConfig) -> CellTask {
-        CellTask {
-            syscall: "creat".into(),
-            tool: 1,
-            epoch: 1,
-            config,
-        }
-    }
+    use crate::elastic::{plan_from_json_str, plan_to_json_string, CellResult, MemoCounters};
 
     fn sample_result() -> CellResult {
         CellResult {
@@ -295,15 +289,15 @@ mod tests {
 
     #[test]
     fn wrong_format_tag_rejected() {
-        let as_task = CellTask::from_json_str(&sample_result().to_json_string());
+        let as_plan = plan_from_json_str(&sample_result().to_json_string());
         assert!(
-            matches!(&as_task, Err(PipelineError::ShardArtifact { detail })
+            matches!(&as_plan, Err(PipelineError::ShardArtifact { detail })
                 if detail.contains("provmark-cell-task")),
-            "{as_task:?}"
+            "{as_plan:?}"
         );
-        let err = CellTask::from_json_str("{}").unwrap_err();
+        let err = plan_from_json_str("{}").unwrap_err();
         assert!(matches!(err, PipelineError::ShardArtifact { .. }));
-        let err = CellTask::from_json_str("not json").unwrap_err();
+        let err = plan_from_json_str("not json").unwrap_err();
         assert!(matches!(err, PipelineError::ShardArtifact { .. }));
     }
 
@@ -332,19 +326,20 @@ mod tests {
     fn memo_switch_roundtrips_through_artifacts() {
         let mut config = RunConfig::quick();
         config.opts.use_solve_memo = false;
-        let task = sample_task(config.clone());
-        let back = CellTask::from_json_str(&task.to_json_string()).unwrap();
-        assert!(!back.config.opts.use_solve_memo);
-        assert_eq!(back.config, config);
+        let back = plan_from_json_str(&plan_to_json_string(&config)).unwrap();
+        assert!(!back.opts.use_solve_memo);
+        assert_eq!(back, config);
     }
 
     #[test]
     fn snapshot_version_skew_rejected_with_typed_error() {
-        let text = sample_task(RunConfig::quick()).to_json_string().replace(
+        let plan = plan_to_json_string(&RunConfig::quick());
+        let text = plan.replace(
             "\"snapshot_format_version\": 1",
             "\"snapshot_format_version\": 9",
         );
-        let err = CellTask::from_json_str(&text).unwrap_err();
+        assert_ne!(text, plan, "replacement must fire");
+        let err = plan_from_json_str(&text).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -363,9 +358,8 @@ mod tests {
         let seed = (1u64 << 53) + 1;
         let mut config = RunConfig::quick();
         config.opts.base_seed = seed;
-        let task = sample_task(config);
-        let back = CellTask::from_json_str(&task.to_json_string()).unwrap();
-        assert_eq!(back.config.opts.base_seed, seed);
+        let back = plan_from_json_str(&plan_to_json_string(&config)).unwrap();
+        assert_eq!(back.opts.base_seed, seed);
     }
 
     #[test]

@@ -1,17 +1,21 @@
-//! Unit-level tests of the elastic claim protocol: claim races have
-//! exactly one winner, publishes are atomic, torn results are
-//! rejected as typed errors at every truncation length, the
-//! fault-injection spec parses round-trip, and a finished cell never
-//! waits out its heartbeat interval.
+//! Unit-level tests of the elastic claim protocol: claim races over
+//! hard-linked tasks have exactly one winner per cell and every claim
+//! names its claimant, malformed task names and torn results are typed
+//! errors, publishes are atomic, a dead worker's claims go stale through
+//! its heartbeat while a live worker's do not, the fault-injection spec
+//! parses round-trip, and neither a cell nor a worker's exit waits out
+//! the heartbeat interval.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 use provmark_core::pipeline::CellOutcome;
 use provmark_core::PipelineError;
 use provshard::elastic::{
-    plan_cells, worker_loop, CellResult, CellTask, InjectSpec, MemoCounters, TaskStore,
-    WorkerContext, WorkerEnd, CELL_RESULT_VERSION, CELL_TASK_VERSION,
+    plan_cells, plan_from_json_str, plan_to_json_string, worker_loop, CellResult, CellTask,
+    ClaimClock, InjectSpec, MemoCounters, TaskStore, WorkerContext, WorkerEnd, CELL_RESULT_VERSION,
+    CELL_TASK_VERSION,
 };
 use provshard::RunConfig;
 
@@ -54,8 +58,11 @@ fn cell_task_and_result_roundtrip_through_json() {
     };
     assert_eq!(task.id(), "creat.t1");
     assert_eq!(task.file_name(), "creat.t1.e3.json");
-    let back = CellTask::from_json_str(&task.to_json_string()).unwrap();
+    // A task is its file name plus the plan's configuration.
+    let back = CellTask::from_file_name(&task.file_name(), RunConfig::quick()).unwrap();
     assert_eq!(back, task);
+    let plan = plan_to_json_string(&task.config);
+    assert_eq!(plan_from_json_str(&plan).unwrap(), task.config);
 
     let result = CellResult {
         syscall: "creat".into(),
@@ -68,8 +75,9 @@ fn cell_task_and_result_roundtrip_through_json() {
     let back = CellResult::from_json_str(&result.to_json_string()).unwrap();
     assert_eq!(back, result);
 
-    // Format tags are distinct: a task never parses as a result.
-    let err = CellResult::from_json_str(&task.to_json_string()).unwrap_err();
+    // Format tags are distinct: a task (the plan) never parses as a
+    // result.
+    let err = CellResult::from_json_str(&plan).unwrap_err();
     assert!(
         matches!(&err, PipelineError::ShardArtifact { detail }
             if detail.contains("provmark-cell-result")),
@@ -80,32 +88,153 @@ fn cell_task_and_result_roundtrip_through_json() {
 #[test]
 fn claim_race_has_exactly_one_winner() {
     let dir = temp_dir("race");
-    let task = CellTask {
-        syscall: "creat".into(),
-        tool: 0,
-        epoch: 1,
-        config: RunConfig::quick(),
-    };
-    let store = TaskStore::init(&dir, std::slice::from_ref(&task)).unwrap();
-    let file_name = task.file_name();
-    let winners: Vec<bool> = std::thread::scope(|scope| {
+    let tasks = plan_cells(&RunConfig::quick());
+    let store = TaskStore::init(&dir, &tasks).unwrap();
+    // Every task file is a hard link to the one plan document.
+    let plan = std::fs::read(dir.join("plan.json")).unwrap();
+    for task in &tasks {
+        assert_eq!(
+            std::fs::read(dir.join("tasks").join(task.file_name())).unwrap(),
+            plan
+        );
+    }
+    // Eight workers race over the whole plan until nothing is left.
+    let won: Vec<(usize, CellTask)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|worker| {
                 let store = store.clone();
-                let file_name = file_name.clone();
-                scope.spawn(move || store.try_claim(&file_name, worker).unwrap().is_some())
+                scope.spawn(move || {
+                    let mut won = Vec::new();
+                    while let Some(task) = store.claim_next(worker).unwrap() {
+                        won.push((worker, task));
+                    }
+                    won
+                })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
     });
-    assert_eq!(
-        winners.iter().filter(|w| **w).count(),
-        1,
-        "an 8-way claim race must have exactly one winner: {winners:?}"
+    let mut winners: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+    for (worker, task) in &won {
+        winners.entry(task.id()).or_default().push(*worker);
+    }
+    assert_eq!(winners.len(), tasks.len(), "every cell was claimed");
+    assert!(
+        winners.values().all(|w| w.len() == 1),
+        "an 8-way claim race must have exactly one winner per cell: {winners:?}"
     );
-    // The winner's claim left a fresh liveness signal.
-    let age = store.heartbeat_age(&task.id(), 1).expect("claim is live");
-    assert!(age.as_secs() < 5, "claim-time heartbeat is fresh: {age:?}");
+    // Each claim is one file in claimed/, named after its claimant.
+    let mut names: Vec<String> = std::fs::read_dir(dir.join("claimed"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let mut expected: Vec<String> = won
+        .iter()
+        .map(|(worker, task)| format!("{}.w{worker}", task.file_name()))
+        .collect();
+    expected.sort();
+    assert_eq!(names, expected);
+    let claimants = store.claimants().unwrap();
+    assert_eq!(claimants.len(), tasks.len());
+    for (worker, task) in &won {
+        assert_eq!(claimants[&(task.id(), task.epoch)], *worker);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn malformed_or_unknown_task_names_are_typed_errors() {
+    // Every strict prefix of a task name, and names for cells the plan
+    // cannot hold, must be refused as a typed ShardArtifact error naming
+    // the file — by the parser and by a claim — and the claim must leave
+    // the file where it is.
+    let good = "creat.t0.e12.json";
+    assert!(CellTask::from_file_name(good, RunConfig::quick()).is_ok());
+    let mut bad: Vec<String> = (1..good.len()).map(|cut| good[..cut].to_owned()).collect();
+    bad.extend(
+        [
+            "nosuch.t0.e1.json",
+            "creat.t3.e1.json",
+            "creat.t0.e0.json",
+            "creat.t00.e1.json",
+            "creat.t0.e01.json",
+            "creat.t+0.e1.json",
+            "creat.t0.e-1.json",
+            "creat.t0.e4294967296.json",
+            "creat.t0.e1.json.w0",
+            "creat.t0.e1.txt",
+            "creat.e1.json",
+            "creat.t0.json",
+        ]
+        .map(str::to_owned),
+    );
+    for name in &bad {
+        let err = CellTask::from_file_name(name, RunConfig::quick()).unwrap_err();
+        assert!(
+            matches!(&err, PipelineError::ShardArtifact { detail } if detail.contains(name.as_str())),
+            "`{name}`: {err}"
+        );
+    }
+    let dir = temp_dir("names");
+    let store = TaskStore::init(&dir, &plan_cells(&RunConfig::quick())[..1]).unwrap();
+    assert!(store.claim_next(0).unwrap().is_some());
+    for name in &bad {
+        let path = dir.join("tasks").join(name);
+        std::fs::write(&path, b"").unwrap();
+        let err = store.claim_next(0).unwrap_err();
+        assert!(
+            matches!(&err, PipelineError::ShardArtifact { detail } if detail.contains(name.as_str())),
+            "`{name}`: {err}"
+        );
+        assert!(path.exists(), "`{name}` must not be claimed");
+        std::fs::remove_file(&path).unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn killed_workers_claims_go_stale_through_its_heartbeat_but_a_live_long_claim_does_not() {
+    let dir = temp_dir("liveness");
+    let tasks = plan_cells(&RunConfig::quick());
+    let store = TaskStore::init(&dir, &tasks[..3]).unwrap();
+    let live = store.claim_next(0).unwrap().unwrap();
+    let dead: Vec<CellTask> = (0..2)
+        .map(|_| store.claim_next(1).unwrap().unwrap())
+        .collect();
+    let (mut live_beat, mut dead_beat) = (store.heartbeat(0), store.heartbeat(1));
+    live_beat.beat().unwrap();
+    dead_beat.beat().unwrap();
+    let mut clock = ClaimClock::default();
+    let seen = Instant::now();
+    let ages = clock.ages(&store, seen).unwrap();
+    assert!(ages.values().all(|age| age.is_zero()), "{ages:?}");
+
+    // An hour on: worker 0 kept beating through its long claim, worker
+    // 1 was killed an hour ago and its heartbeat stopped then.
+    live_beat.beat().unwrap();
+    std::fs::File::options()
+        .write(true)
+        .open(dir.join("heartbeats").join("worker-1"))
+        .unwrap()
+        .set_modified(SystemTime::now() - Duration::from_secs(3600))
+        .unwrap();
+    let hour = Duration::from_secs(3600);
+    let ages = clock.ages(&store, seen + hour).unwrap();
+    let stale_after = Duration::from_secs(5);
+    assert!(
+        ages[&(live.id(), 1)] < stale_after,
+        "a live worker's long claim stays fresh: {ages:?}"
+    );
+    for task in &dead {
+        assert!(
+            ages[&(task.id(), 1)] >= hour,
+            "every claim of the killed worker goes stale: {ages:?}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -231,6 +360,23 @@ fn init_refuses_a_reused_run_directory() {
 }
 
 #[test]
+fn init_refuses_tasks_that_do_not_share_one_plan() {
+    // One plan file backs every task, so a task list with two run
+    // configurations cannot be written faithfully and is refused.
+    let dir = temp_dir("mixed");
+    let mut tasks = plan_cells(&RunConfig::quick())[..2].to_vec();
+    tasks[1].config.opts.base_seed += 1;
+    let err = TaskStore::init(&dir, &tasks).unwrap_err();
+    assert!(
+        matches!(&err, PipelineError::ShardArtifact { detail }
+            if detail.contains("one run configuration")),
+        "{err}"
+    );
+    assert!(!dir.join("plan.json").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn stop_sentinel_roundtrips() {
     let dir = temp_dir("stop");
     let store = TaskStore::init(&dir, &[]).unwrap();
@@ -274,25 +420,34 @@ fn inject_spec_parses_and_renders_all_directives() {
 fn cell_artifact_version_skew_rejected() {
     // Both cell artifacts carry their own format version; a document
     // one version ahead (a newer build's artifact) is refused with the
-    // actionable re-plan error instead of being half-parsed.
-    let task = CellTask {
-        syscall: "creat".into(),
-        tool: 1,
-        epoch: 3,
-        config: RunConfig::quick(),
-    };
-    let skewed = task.to_json_string().replace(
+    // actionable re-plan error instead of being half-parsed. For tasks
+    // that document is the run plan every task file links to, so a
+    // worker refuses a skewed run directory when it opens it.
+    let plan = plan_to_json_string(&RunConfig::quick());
+    let skewed = plan.replace(
         &format!("\"version\": {CELL_TASK_VERSION}"),
         &format!("\"version\": {}", CELL_TASK_VERSION + 1),
     );
-    assert_ne!(skewed, task.to_json_string(), "replacement must fire");
-    let err = CellTask::from_json_str(&skewed).unwrap_err();
+    assert_ne!(skewed, plan, "replacement must fire");
+    let err = plan_from_json_str(&skewed).unwrap_err();
     assert!(
         matches!(&err, PipelineError::ShardArtifact { detail }
             if detail.contains(&format!("version {}", CELL_TASK_VERSION + 1))
                 && detail.contains("re-plan")),
         "{err}"
     );
+    let dir = temp_dir("skew");
+    TaskStore::init(&dir, &plan_cells(&RunConfig::quick())).unwrap();
+    assert!(TaskStore::open(&dir).is_ok());
+    std::fs::write(dir.join("plan.json"), &skewed).unwrap();
+    let err = TaskStore::open(&dir).unwrap_err();
+    assert!(
+        matches!(&err, PipelineError::ShardArtifact { detail }
+            if detail.contains("plan.json")
+                && detail.contains(&format!("version {}", CELL_TASK_VERSION + 1))),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 
     let result = CellResult {
         syscall: "creat".into(),
@@ -317,9 +472,10 @@ fn cell_artifact_version_skew_rejected() {
 
 #[test]
 fn finished_cell_wakes_its_heartbeat_instead_of_sleeping_out_the_interval() {
-    // The heartbeat thread used to sleep a whole interval and be joined
-    // when the cell ended, so every cell cost at least one interval. With
-    // a 30 s interval, one tiny cell must publish long before it.
+    // A heartbeat that sleeps out its interval before a cell (or the
+    // worker) may finish costs at least one interval. With a 30 s
+    // interval, one tiny cell must publish, and the worker exit on the
+    // stop sentinel, long before it.
     let dir = temp_dir("wake");
     let task = CellTask {
         syscall: "creat".into(),
@@ -347,9 +503,14 @@ fn finished_cell_wakes_its_heartbeat_instead_of_sleeping_out_the_interval() {
         let published = started.elapsed();
         store.request_stop().unwrap();
         let end = worker.join().unwrap().unwrap();
+        let exited = started.elapsed();
         assert!(
             published < interval,
             "the cell published after {published:?}, not promptly"
+        );
+        assert!(
+            exited < interval,
+            "the worker exited after {exited:?}, not promptly"
         );
         end
     });

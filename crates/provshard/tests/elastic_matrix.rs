@@ -245,6 +245,35 @@ fn exhausted_retries_surface_as_typed_per_cell_failures() {
 }
 
 #[test]
+fn kill_cell_drives_render_byte_identical_reports() {
+    // A lost cell's report line names its attempts and why the last one
+    // died, but no timing: two drives that lose the same cell render the
+    // same bytes, however long each stale claim took to notice.
+    let reports: Vec<String> = (0..2)
+        .map(|run| {
+            let dir = temp_dir(&format!("kill-cell-{run}"));
+            let opts = ElasticOptions {
+                inject: InjectSpec::parse("kill-cell=creat/1").expect("inject spec"),
+                ..ElasticOptions::quick()
+            };
+            let outcome = drive_elastic_in_process(2, &RunConfig::quick(), &dir, &opts).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            assert_eq!(outcome.failures.len(), 1, "{:?}", outcome.failures);
+            outcome.report
+        })
+        .collect();
+    assert!(
+        reports[0].contains("lost: no worker completed this cell in 3 attempt(s)"),
+        "{}",
+        reports[0]
+    );
+    assert_eq!(
+        reports[0], reports[1],
+        "lost-cell reports must not carry timings"
+    );
+}
+
+#[test]
 fn drive_cli_reports_injected_faults_and_exhaustion() {
     let dir = temp_dir("cli");
     let path = |name: &str| dir.join(name).to_string_lossy().into_owned();

@@ -82,8 +82,8 @@ static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// and the directory is fsynced so the rename itself is durable. A
 /// crash at any point leaves either the old content or the new — never
 /// a torn file. This is the workspace-wide primitive: `aspsolver`'s
-/// solve-cache writer delegates here, and `provshard`'s cell results
-/// and reports and every trace file are written through it.
+/// solve-cache writer delegates here, and `provshard`'s reports and
+/// every trace file are written through it.
 pub fn write_bytes_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
     write_via_temp(path, bytes, true)
 }
@@ -91,8 +91,8 @@ pub fn write_bytes_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// Write `bytes` to `path` atomically but without fsync: readers see
 /// the old content or the new, never a torn file, but a machine crash
 /// may lose the write. For files that only live as long as the
-/// processes that read them, such as heartbeats and a run's plan-time
-/// task files.
+/// processes that read them, such as an elastic run's plan, its cell
+/// results and its stop sentinel.
 pub fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     write_via_temp(path, bytes, false)
 }
